@@ -1,35 +1,42 @@
 """Quantum encryption layers and signature construction.
 
-Three schemes share one interface:
+Each scheme compiles to an op list of ``(name, qubits, 2x2 matrix)`` entries
+(see :data:`aqs.qstate.Op`) that :func:`aqs.qstate.apply_ops` runs in one
+pass:
 
 * ``cu``   -- chained controlled rotations: for each qubit j in ascending
-  order, apply a controlled U(theta_j, phi_j, lambda_j) with control j and
-  target perm[j] (skipped when perm[j] == j). Signing adds a local
-  U(theta_j, phi_j, lambda_j) on every qubit on top of the encryption.
-* ``cnot`` -- the same chaining with plain CNOTs; no phase layer.
-* ``qotp`` -- per-qubit Pauli one-time pad Z then X from a 2n-bit key; no
-  phase layer.
+  order, ``("cu", (j, perm[j]), U(theta_j, phi_j, lambda_j))`` with control
+  j and target perm[j] (skipped when perm[j] == j). Signing adds the local
+  layer ``("u", (j,), U(theta_j, phi_j, lambda_j))`` on every qubit on top
+  of the encryption.
+* ``cnot`` -- the same chaining with ``("cnot", (j, perm[j]), X)``; no phase
+  layer.
+* ``qotp`` -- per-qubit Pauli one-time pad ``("z", (j,), Z)`` then
+  ``("x", (j,), X)`` from a 2n-bit key; no phase layer.
 
 ``diagonal`` Euler mode pins theta = phi = 0 so every rotation is
 diag(1, e^{i lambda}); ``general`` mode uses full three-angle rotations.
-Decryption applies the adjoint gates in exactly reversed order.
 
-Ops lists: every function accepts an optional list and appends
-``(gate_name, qubits)`` events for circuit accounting.
+Decryption and message recovery run :func:`inverse_ops` of the forward
+list: the same entries in reversed order, each matrix replaced by its
+adjoint and ``cu``/``u`` renamed ``cu_adjoint``/``u_adjoint`` (the other
+names stay, as those gates are their own inverses).
+
+Ops lists: every function that applies gates accepts an optional list and
+appends one ``(gate_name, qubits)`` event per applied gate, in order, for
+circuit accounting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import gates, qstate
 from .errors import ConfigError, LengthMismatchError
-from .qstate import StateVector
-
-OpList = list[tuple[str, tuple[int, ...]]]
+from .qstate import Op, OpList, StateVector
 
 
 class Scheme(str, Enum):
@@ -115,143 +122,88 @@ class EncryptionContext:
         return gates.u_gate(self.thetas[j], self.phis[j], self.lambdas[j])
 
 
-def _record(ops: OpList | None, name: str, qubits: tuple[int, ...]) -> None:
+# -- op lists -----------------------------------------------------------------------
+
+def encryption_ops(ctx: EncryptionContext) -> list[Op]:
+    """The scheme's encryption circuit, in application order."""
+    if ctx.scheme is Scheme.QOTP:
+        z = gates.pauli_z()
+        x = gates.pauli_x()
+        ops: list[Op] = []
+        for j in range(ctx.n):
+            if ctx.qotp_key[2 * j] == "1":
+                ops.append(("z", (j,), z))
+            if ctx.qotp_key[2 * j + 1] == "1":
+                ops.append(("x", (j,), x))
+        return ops
+    if ctx.scheme is Scheme.CHAINED_CNOT:
+        x = gates.pauli_x()
+        return [("cnot", (j, t), x) for j, t in enumerate(ctx.perm) if t != j]
+    return [
+        ("cu", (j, t), ctx.rotation(j)) for j, t in enumerate(ctx.perm) if t != j
+    ]
+
+
+def signing_ops(ctx: EncryptionContext) -> list[Op]:
+    """The cu scheme's local signing layer U(theta_j, phi_j, lambda_j)."""
+    if ctx.scheme is not Scheme.CHAINED_CU:
+        raise ConfigError("the signing layer is defined for the cu scheme only")
+    return [("u", (j,), ctx.rotation(j)) for j in range(ctx.n)]
+
+
+def signature_ops(ctx: EncryptionContext) -> list[Op]:
+    """Encryption, then the signing layer for the cu scheme."""
+    ops = encryption_ops(ctx)
+    if ctx.scheme is Scheme.CHAINED_CU:
+        ops += signing_ops(ctx)
+    return ops
+
+
+_ADJOINT_NAMES = {"cu": "cu_adjoint", "u": "u_adjoint"}
+
+
+def inverse_ops(ops: list[Op]) -> list[Op]:
+    """The circuit that undoes ``ops``: reversed order, adjoint matrices."""
+    return [
+        (_ADJOINT_NAMES.get(name, name), qubits, gates.adjoint(gate))
+        for name, qubits, gate in reversed(ops)
+    ]
+
+
+def _run(state: StateVector, ctx: EncryptionContext, circuit: list[Op],
+         ops: OpList | None) -> StateVector:
+    if state.n != ctx.n:
+        raise LengthMismatchError(
+            f"context is for n={ctx.n}, state has n={state.n}"
+        )
+    state = qstate.apply_ops(state, circuit)
     if ops is not None:
-        ops.append((name, qubits))
-
-
-# -- chained controlled-U ---------------------------------------------------------
-
-def _encrypt_cu(state: StateVector, ctx: EncryptionContext,
-                ops: OpList | None) -> StateVector:
-    for j in range(ctx.n):
-        t = ctx.perm[j]
-        if t == j:
-            continue
-        state = qstate.apply_controlled(state, j, t, ctx.rotation(j))
-        _record(ops, "cu", (j, t))
+        ops.extend((name, qubits) for name, qubits, _ in circuit)
     return state
 
 
-def _decrypt_cu(state: StateVector, ctx: EncryptionContext,
-                ops: OpList | None) -> StateVector:
-    for j in reversed(range(ctx.n)):
-        t = ctx.perm[j]
-        if t == j:
-            continue
-        state = qstate.apply_controlled(state, j, t, gates.adjoint(ctx.rotation(j)))
-        _record(ops, "cu_adjoint", (j, t))
-    return state
+# -- the layers ---------------------------------------------------------------------
+
+def encrypt(state: StateVector, ctx: EncryptionContext,
+            ops: OpList | None = None) -> StateVector:
+    return _run(state, ctx, encryption_ops(ctx), ops)
+
+
+def decrypt(state: StateVector, ctx: EncryptionContext,
+            ops: OpList | None = None) -> StateVector:
+    return _run(state, ctx, inverse_ops(encryption_ops(ctx)), ops)
 
 
 def sign_layer(state: StateVector, ctx: EncryptionContext,
                ops: OpList | None = None) -> StateVector:
     """Local rotation U(theta_j, phi_j, lambda_j) on every qubit."""
-    if ctx.scheme is not Scheme.CHAINED_CU:
-        raise ConfigError("the signing layer is defined for the cu scheme only")
-    for j in range(ctx.n):
-        state = qstate.apply_single(state, j, ctx.rotation(j))
-        _record(ops, "u", (j,))
-    return state
+    return _run(state, ctx, signing_ops(ctx), ops)
 
 
 def unsign_layer(state: StateVector, ctx: EncryptionContext,
                  ops: OpList | None = None) -> StateVector:
     """Adjoint of :func:`sign_layer`."""
-    if ctx.scheme is not Scheme.CHAINED_CU:
-        raise ConfigError("the signing layer is defined for the cu scheme only")
-    for j in reversed(range(ctx.n)):
-        state = qstate.apply_single(state, j, gates.adjoint(ctx.rotation(j)))
-        _record(ops, "u_adjoint", (j,))
-    return state
-
-
-# -- chained CNOT -----------------------------------------------------------------
-
-def _encrypt_cnot(state: StateVector, ctx: EncryptionContext,
-                  ops: OpList | None) -> StateVector:
-    x = gates.pauli_x()
-    for j in range(ctx.n):
-        t = ctx.perm[j]
-        if t == j:
-            continue
-        state = qstate.apply_controlled(state, j, t, x)
-        _record(ops, "cnot", (j, t))
-    return state
-
-
-def _decrypt_cnot(state: StateVector, ctx: EncryptionContext,
-                  ops: OpList | None) -> StateVector:
-    x = gates.pauli_x()
-    for j in reversed(range(ctx.n)):
-        t = ctx.perm[j]
-        if t == j:
-            continue
-        state = qstate.apply_controlled(state, j, t, x)
-        _record(ops, "cnot", (j, t))
-    return state
-
-
-# -- Pauli one-time pad -----------------------------------------------------------
-
-def _encrypt_qotp(state: StateVector, ctx: EncryptionContext,
-                  ops: OpList | None) -> StateVector:
-    z = gates.pauli_z()
-    x = gates.pauli_x()
-    for j in range(ctx.n):
-        if ctx.qotp_key[2 * j] == "1":
-            state = qstate.apply_single(state, j, z)
-            _record(ops, "z", (j,))
-        if ctx.qotp_key[2 * j + 1] == "1":
-            state = qstate.apply_single(state, j, x)
-            _record(ops, "x", (j,))
-    return state
-
-
-def _decrypt_qotp(state: StateVector, ctx: EncryptionContext,
-                  ops: OpList | None) -> StateVector:
-    z = gates.pauli_z()
-    x = gates.pauli_x()
-    for j in reversed(range(ctx.n)):
-        if ctx.qotp_key[2 * j + 1] == "1":
-            state = qstate.apply_single(state, j, x)
-            _record(ops, "x", (j,))
-        if ctx.qotp_key[2 * j] == "1":
-            state = qstate.apply_single(state, j, z)
-            _record(ops, "z", (j,))
-    return state
-
-
-# -- dispatch ---------------------------------------------------------------------
-
-_ENCRYPT = {
-    Scheme.CHAINED_CU: _encrypt_cu,
-    Scheme.CHAINED_CNOT: _encrypt_cnot,
-    Scheme.QOTP: _encrypt_qotp,
-}
-_DECRYPT = {
-    Scheme.CHAINED_CU: _decrypt_cu,
-    Scheme.CHAINED_CNOT: _decrypt_cnot,
-    Scheme.QOTP: _decrypt_qotp,
-}
-
-
-def encrypt(state: StateVector, ctx: EncryptionContext,
-            ops: OpList | None = None) -> StateVector:
-    if state.n != ctx.n:
-        raise LengthMismatchError(
-            f"context is for n={ctx.n}, state has n={state.n}"
-        )
-    return _ENCRYPT[ctx.scheme](state, ctx, ops)
-
-
-def decrypt(state: StateVector, ctx: EncryptionContext,
-            ops: OpList | None = None) -> StateVector:
-    if state.n != ctx.n:
-        raise LengthMismatchError(
-            f"context is for n={ctx.n}, state has n={state.n}"
-        )
-    return _DECRYPT[ctx.scheme](state, ctx, ops)
+    return _run(state, ctx, inverse_ops(signing_ops(ctx)), ops)
 
 
 def make_signature(message: StateVector, ctx: EncryptionContext,
@@ -261,16 +213,10 @@ def make_signature(message: StateVector, ctx: EncryptionContext,
     The cu scheme stacks the per-qubit signing rotation on top of the
     chained encryption; the baseline schemes sign by encryption alone.
     """
-    state = encrypt(message, ctx, ops)
-    if ctx.scheme is Scheme.CHAINED_CU:
-        state = sign_layer(state, ctx, ops)
-    return state
+    return _run(message, ctx, signature_ops(ctx), ops)
 
 
 def recover_message(signature: StateVector, ctx: EncryptionContext,
                     ops: OpList | None = None) -> StateVector:
     """Exact inverse of :func:`make_signature`."""
-    state = signature
-    if ctx.scheme is Scheme.CHAINED_CU:
-        state = unsign_layer(state, ctx, ops)
-    return decrypt(state, ctx, ops)
+    return _run(signature, ctx, inverse_ops(signature_ops(ctx)), ops)

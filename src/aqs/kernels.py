@@ -1,16 +1,10 @@
-"""Hot statevector kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Hot statevector kernels: single-qubit and controlled gates, in numpy.
 
-The backend is fixed once, at import time, by the ``AQS_KERNELS`` environment
-variable:
-
-* ``AQS_KERNELS=numba`` -- require the jitted kernels (raises ``ImportError``,
-  naming the variable, if numba is not importable),
-* ``AQS_KERNELS=numpy`` -- force the pure-numpy path,
-* unset or ``auto``    -- use numba when available, numpy otherwise.
-
-Both paths implement the identical contract and are compared against each
-other (and against explicit Kronecker-product matrices) in the test suite.
-All kernels mutate ``amps`` in place; callers own the copy.
+Both kernels view the amplitude array through a reshape whose size-2 axes
+are the selected bits, so each gate is a few whole-array numpy expressions
+and no index array is built. They are checked against explicit
+Kronecker-product matrices in the test suite. All kernels mutate ``amps``
+in place; callers own the copy, which must be a contiguous 1-D array.
 
 Index convention: qubit 0 is the most significant bit of the basis label, so
 qubit ``q`` of an ``n``-qubit register corresponds to the bit mask
@@ -19,35 +13,18 @@ qubit ``q`` of an ``n``-qubit register corresponds to the bit mask
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_CHOICE = os.environ.get("AQS_KERNELS", "auto").strip().lower()
-if _CHOICE not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"AQS_KERNELS must be 'auto', 'numba' or 'numpy', got {_CHOICE!r}"
-    )
 
-_HAVE_NUMBA = False
-if _CHOICE in ("auto", "numba"):
-    try:
-        from numba import njit
-        _HAVE_NUMBA = True
-    except ImportError as exc:
-        if _CHOICE == "numba":
-            raise ImportError(
-                "AQS_KERNELS=numba requires numba, which cannot be imported "
-                "(install the 'numba' extra, or set AQS_KERNELS=auto or numpy)"
-            ) from exc
+def active_backend() -> str:
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
-# -- pure-numpy implementations ------------------------------------------------
-
-def apply_single_numpy(amps: np.ndarray, mask: int,
-                       u00: complex, u01: complex,
-                       u10: complex, u11: complex) -> None:
-    """Apply a 2x2 gate to the qubit selected by ``mask``, in place."""
+def apply_single_inplace(amps: np.ndarray, mask: int, gate: np.ndarray) -> None:
+    """Apply ``gate`` to the qubit selected by ``mask``, mutating ``amps``."""
+    u00, u01 = complex(gate[0, 0]), complex(gate[0, 1])
+    u10, u11 = complex(gate[1, 0]), complex(gate[1, 1])
     dim = amps.shape[0]
     # Axis layout (blocks, 2, mask): the middle axis is the selected bit.
     view = amps.reshape(dim // (2 * mask), 2, mask)
@@ -57,80 +34,25 @@ def apply_single_numpy(amps: np.ndarray, mask: int,
     view[:, 1, :] = u10 * a0 + u11 * a1
 
 
-def apply_controlled_numpy(amps: np.ndarray, cmask: int, tmask: int,
-                           u00: complex, u01: complex,
-                           u10: complex, u11: complex) -> None:
-    """Apply a controlled 2x2 gate (control bit ``cmask``) in place."""
-    dim = amps.shape[0]
-    idx = np.arange(dim)
-    lo = idx[((idx & cmask) != 0) & ((idx & tmask) == 0)]
-    hi = lo | tmask
-    a0 = amps[lo]
-    a1 = amps[hi]
-    amps[lo] = u00 * a0 + u01 * a1
-    amps[hi] = u10 * a0 + u11 * a1
-
-
-# -- numba implementations -------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def apply_single_numba(amps, mask, u00, u01, u10, u11):  # pragma: no cover
-        dim = amps.shape[0]
-        block = mask << 1
-        for base in range(0, dim, block):
-            for lo in range(base, base + mask):
-                hi = lo + mask
-                a0 = amps[lo]
-                a1 = amps[hi]
-                amps[lo] = u00 * a0 + u01 * a1
-                amps[hi] = u10 * a0 + u11 * a1
-
-    @njit(cache=True)
-    def apply_controlled_numba(amps, cmask, tmask, u00, u01, u10, u11):  # pragma: no cover
-        dim = amps.shape[0]
-        for lo in range(dim):
-            if (lo & cmask) != 0 and (lo & tmask) == 0:
-                hi = lo | tmask
-                a0 = amps[lo]
-                a1 = amps[hi]
-                amps[lo] = u00 * a0 + u01 * a1
-                amps[hi] = u10 * a0 + u11 * a1
-
-    _apply_single = apply_single_numba
-    _apply_controlled = apply_controlled_numba
-    _BACKEND = "numba"
-else:
-    _apply_single = apply_single_numpy
-    _apply_controlled = apply_controlled_numpy
-    _BACKEND = "numpy"
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return _BACKEND
-
-
-def apply_single_inplace(amps: np.ndarray, mask: int, gate: np.ndarray) -> None:
-    """Apply ``gate`` to the qubit selected by ``mask``, mutating ``amps``."""
-    _apply_single(amps, mask,
-                  complex(gate[0, 0]), complex(gate[0, 1]),
-                  complex(gate[1, 0]), complex(gate[1, 1]))
-
-
 def apply_controlled_inplace(amps: np.ndarray, cmask: int, tmask: int,
                              gate: np.ndarray) -> None:
-    """Apply controlled-``gate`` with the given bit masks, mutating ``amps``."""
-    _apply_controlled(amps, cmask, tmask,
-                      complex(gate[0, 0]), complex(gate[0, 1]),
-                      complex(gate[1, 0]), complex(gate[1, 1]))
+    """Apply controlled-``gate`` with the given bit masks, mutating ``amps``.
 
-
-def warmup() -> str:
-    """Trigger one-time jit compilation (no-op on the numpy path)."""
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = 1.0
-    _apply_single(amps, 1, 1 + 0j, 0j, 0j, 1 + 0j)
-    _apply_controlled(amps, 2, 1, 1 + 0j, 0j, 0j, 1 + 0j)
-    return _BACKEND
+    Only the control = 1 half of the amplitudes is read or written.
+    """
+    u00, u01 = complex(gate[0, 0]), complex(gate[0, 1])
+    u10, u11 = complex(gate[1, 0]), complex(gate[1, 1])
+    dim = amps.shape[0]
+    high, low = max(cmask, tmask), min(cmask, tmask)
+    # Axis layout (blocks, 2, middle, 2, low): axes 1 and 3 are the higher
+    # and the lower selected bit.
+    view = amps.reshape(dim // (2 * high), 2, high // (2 * low), 2, low)
+    if cmask == high:
+        on = view[:, 1]  # (blocks, middle, 2, low): target is axis 2
+        t0, t1 = on[:, :, 0], on[:, :, 1]
+    else:
+        on = view[:, :, :, 1]  # (blocks, 2, middle, low): target is axis 1
+        t0, t1 = on[:, 0], on[:, 1]
+    a0 = t0.copy()
+    t0[...] = u00 * a0 + u01 * t1
+    t1[...] = u10 * a0 + u11 * t1

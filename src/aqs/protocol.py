@@ -17,17 +17,18 @@ The verification math is identical in both.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 import numpy as np
 
 from . import cipher, keys, qstate
-from .cipher import EncryptionContext, EulerMode, OpList, Scheme
+from .cipher import EncryptionContext, EulerMode, Scheme
 from .errors import (
     ConfigError,
     ContextMismatchError,
@@ -37,7 +38,7 @@ from .errors import (
     NoProofStoredError,
     UnknownSignerError,
 )
-from .qstate import StateVector
+from .qstate import OpList, StateVector
 
 EXACT_ACCEPT_THRESHOLD = 1.0 - 1e-9
 
@@ -756,36 +757,21 @@ class ProtocolResult:
     ops: OpList
 
 
-def _tamper_package(pkg: SignaturePackage, spec: TamperSpec) -> SignaturePackage:
+def _tamper(package: SignaturePackage | ForwardedPackage,
+            spec: TamperSpec) -> SignaturePackage | ForwardedPackage:
+    """The package as it arrives after ``spec`` modified it in transit."""
     from .attacks import apply_pauli_string  # call-time import avoids a cycle
 
-    message = pkg.message
-    tag = pkg.tag
+    changes: dict[str, Any] = {}
     if spec.message_pauli is not None:
-        message = apply_pauli_string(message, spec.message_pauli)
-    if spec.tag_flip_bit is not None:
-        tag = _flip_bit(tag, spec.tag_flip_bit)
-    return SignaturePackage(
-        signer=pkg.signer, message=message, signature=pkg.signature, tag=tag
-    )
-
-
-def _tamper_forwarded(fwd: ForwardedPackage, spec: TamperSpec) -> ForwardedPackage:
-    from .attacks import apply_pauli_string  # call-time import avoids a cycle
-
-    message = fwd.message
-    tag = fwd.tag
-    if spec.message_pauli is not None:
-        if message is None:
+        if package.message is None:
             raise InvalidChannelError(
                 "no message register travels verifier->kgc under direct wiring"
             )
-        message = apply_pauli_string(message, spec.message_pauli)
+        changes["message"] = apply_pauli_string(package.message, spec.message_pauli)
     if spec.tag_flip_bit is not None:
-        tag = _flip_bit(tag, spec.tag_flip_bit)
-    return ForwardedPackage(
-        signer=fwd.signer, signature=fwd.signature, tag=tag, message=message
-    )
+        changes["tag"] = _flip_bit(package.tag, spec.tag_flip_bit)
+    return dataclasses.replace(package, **changes)
 
 
 def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolResult:
@@ -812,16 +798,14 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     session.log_initialize(alice, config.n, ops)
 
     pkg = session.sign(idx, to_sign, ops)
-    pkg = SignaturePackage(
-        signer=pkg.signer, message=clear_copy, signature=pkg.signature, tag=pkg.tag
-    )
+    pkg = dataclasses.replace(pkg, message=clear_copy)
 
     tamper = config.tamper
     if tamper is not None and tamper.channel == "signer-verifier":
         session.transcript.append(
             "tamper-injection", "adversary", VERIFIER.label, tamper.to_payload()
         )
-        pkg = _tamper_package(pkg, tamper)
+        pkg = _tamper(pkg, tamper)
 
     if config.wiring is Wiring.DIRECT:
         session.send_message_direct(idx, pkg.message)
@@ -831,7 +815,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         session.transcript.append(
             "tamper-injection", "adversary", KGC.label, tamper.to_payload()
         )
-        fwd = _tamper_forwarded(fwd, tamper)
+        fwd = _tamper(fwd, tamper)
 
     outcome = session.kgc_verify(fwd, ops)
 

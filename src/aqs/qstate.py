@@ -5,8 +5,10 @@ the most significant bit of the basis label: for n=4 the label ``0110`` means
 qubit0=0, qubit1=1, qubit2=1, qubit3=0, and indexes amplitude 6.
 
 ``StateVector`` is immutable; every gate application returns a new instance.
-Mutation happens only on private working copies inside this module, routed
-through the kernel backend (see :mod:`aqs.kernels`).
+Gates are data: an :data:`Op` names a gate, its qubits and its 2x2 matrix,
+and :func:`apply_ops` runs a whole list of them on one private working copy
+through the kernels (see :mod:`aqs.kernels`), building one new state at the
+end.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ NORM_ATOL = 1e-9
 
 # Swap-test defaults: accept only if no shot lands on ancilla=1.
 SWAP_TEST_SHOTS = 64
+
+# A gate as data: name, qubits and 2x2 matrix. One qubit is a single-qubit
+# gate; two are (control, target) of a controlled gate.
+Op = tuple[str, tuple[int, ...], np.ndarray]
+# What circuit accounting keeps of each applied gate: its name and qubits.
+OpList = list[tuple[str, tuple[int, ...]]]
 
 
 def _check_qubit(n: int, qubit: int, role: str = "qubit") -> int:
@@ -111,28 +119,38 @@ def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> State
     return StateVector(len(qubit_states), amps)
 
 
+def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
+    """Apply a list of gates in order on one working copy; returns a new state."""
+    n = state.n
+    amps = state.working_copy()
+    for _, qubits, gate in ops:
+        gate = np.asarray(gate)
+        if len(qubits) == 1:
+            mask = _mask(n, _check_qubit(n, qubits[0]))
+            kernels.apply_single_inplace(amps, mask, gate)
+            continue
+        control, target = qubits
+        _check_qubit(n, control, "control")
+        _check_qubit(n, target, "target")
+        if control == target:
+            raise ControlEqualsTargetError(
+                f"control and target both {control}; they must differ"
+            )
+        kernels.apply_controlled_inplace(
+            amps, _mask(n, control), _mask(n, target), gate
+        )
+    return StateVector(n, amps)
+
+
 def apply_single(state: StateVector, qubit: int, gate: np.ndarray) -> StateVector:
     """Apply a 2x2 gate to one qubit; returns a new state."""
-    _check_qubit(state.n, qubit)
-    amps = state.working_copy()
-    kernels.apply_single_inplace(amps, _mask(state.n, qubit), np.asarray(gate))
-    return StateVector(state.n, amps)
+    return apply_ops(state, [("single", (qubit,), gate)])
 
 
 def apply_controlled(state: StateVector, control: int, target: int,
                      gate: np.ndarray) -> StateVector:
     """Apply a controlled 2x2 gate; returns a new state."""
-    _check_qubit(state.n, control, "control")
-    _check_qubit(state.n, target, "target")
-    if control == target:
-        raise ControlEqualsTargetError(
-            f"control and target both {control}; they must differ"
-        )
-    amps = state.working_copy()
-    kernels.apply_controlled_inplace(
-        amps, _mask(state.n, control), _mask(state.n, target), np.asarray(gate)
-    )
-    return StateVector(state.n, amps)
+    return apply_ops(state, [("controlled", (control, target), gate)])
 
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
@@ -191,13 +209,20 @@ class ShotHistogram:
         counts: dict[str, int] = {}
         for ln in rows[1:]:
             label, value = ln.strip().split(",")
+            if label in counts:
+                raise ValueError(f"basis label {label!r} appears twice")
             counts[label] = int(value)
+            if counts[label] < 0:
+                raise ValueError(f"basis label {label!r} has a negative count")
         if not counts:
             raise ValueError("histogram has no rows")
         n = len(next(iter(counts)))
         if any(len(lbl) != n or set(lbl) - {"0", "1"} for lbl in counts):
             raise ValueError("inconsistent basis labels in histogram")
-        return ShotHistogram(n=n, shots=sum(counts.values()), counts=counts)
+        shots = sum(counts.values())
+        if shots == 0:
+            raise ValueError("histogram counts sum to zero")
+        return ShotHistogram(n=n, shots=shots, counts=counts)
 
 
 def sample(state: StateVector, shots: int, rng: np.random.Generator) -> ShotHistogram:

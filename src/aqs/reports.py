@@ -20,9 +20,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .qstate import ShotHistogram, StateVector
-
-OpList = list[tuple[str, tuple[int, ...]]]
+from .qstate import OpList, ShotHistogram, StateVector
 
 # Canonical class order for the signing pipeline; extra classes sort after.
 GATE_CLASSES = ("initialize", "cu", "u", "u_adjoint", "cu_adjoint", "measure")

@@ -1,14 +1,6 @@
 import pytest
 
-from aqs import kernels
-
 _ACCEPTANCE_LINES: list[str] = []
-
-
-@pytest.fixture(scope="session", autouse=True)
-def jit_warmup():
-    # Pay the one-time compile cost before any timed assertion runs.
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -240,6 +240,19 @@ class TestGateAccounting:
             ("cu_adjoint", (3, 2)), ("cu_adjoint", (2, 0)),
             ("cu_adjoint", (1, 3)), ("cu_adjoint", (0, 1)),
         ]
+        # Every scheme recovers by the signature's ops reversed, adjoint-renamed.
+        adjoint_name = {"cu": "cu_adjoint", "u": "u_adjoint"}
+        for ctx in (cu_ctx(4, 90), cu_ctx(4, 91, EulerMode.GENERAL),
+                    EncryptionContext(Scheme.CHAINED_CNOT, 4, perm=(2, 0, 3, 1)),
+                    EncryptionContext(Scheme.QOTP, 4, qotp_key="10011101")):
+            signed, recovered = [], []
+            signature = make_signature(make_state(4, 92), ctx, signed)
+            recover_message(signature, ctx, recovered)
+            assert len(signed) >= 4
+            assert recovered == [
+                (adjoint_name.get(name, name), qubits)
+                for name, qubits in reversed(signed)
+            ]
 
     def test_fixed_points_skipped(self):
         # Key 0101 maps slots 0 and 2 to themselves.

@@ -149,6 +149,19 @@ class TestRun:
                        "--compare", str(tmp_path / "absent.csv")) == 3
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, reason", [
+        ("0110,0\n1111,0\n", "sum to zero"),
+        ("0110,-4\n1111,5\n", "negative count"),
+        ("0110,3\n0110,5\n", "appears twice"),
+    ], ids=["all-zero", "negative", "duplicate"])
+    def test_bad_compare_csv_exits_2(self, tmp_path, capsys, rows, reason):
+        path = tmp_path / "h.csv"
+        path.write_text("basis_label,count\n" + rows)
+        assert run_cli("demo", "--compare", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and reason in err
+        assert "Traceback" not in err
+
     def test_expect_accept_failure_exits_1(self, monkeypatch, capsys):
         def fake_run(config, sample_histogram=True):
             from aqs.protocol import run_protocol as real_run
