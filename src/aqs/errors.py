@@ -42,7 +42,8 @@ class LengthMismatchError(AqsError):
 
 
 class DuplicateDeliveryError(AqsError):
-    """A key was delivered twice for the same (sender, receiver, purpose)."""
+    """A key was delivered twice for the same (sender, receiver, purpose), or
+    a lookup by (receiver, purpose) matches deliveries from several senders."""
 
 
 class UnknownPartyError(AqsError):

@@ -143,12 +143,19 @@ class DeliveryLedger:
         return record
 
     def lookup(self, receiver: str, purpose: str) -> str:
-        for (_, rcv, purp), record in self._records.items():
-            if rcv == receiver and purp == purpose:
-                return record.bits
-        raise UnknownPartyError(
-            f"no secret {purpose!r} on record for party {receiver!r}"
-        )
+        """Bits delivered to ``receiver`` for ``purpose``; exactly one sender may match."""
+        found = [record for (_, rcv, purp), record in self._records.items()
+                 if rcv == receiver and purp == purpose]
+        if not found:
+            raise UnknownPartyError(
+                f"no secret {purpose!r} on record for party {receiver!r}"
+            )
+        if len(found) > 1:
+            senders = ", ".join(repr(record.sender) for record in found)
+            raise DuplicateDeliveryError(
+                f"{purpose!r} reached {receiver!r} from {senders}; lookup is ambiguous"
+            )
+        return found[0].bits
 
     def records(self) -> tuple[KeyDeliveryRecord, ...]:
         return tuple(self._records.values())

@@ -376,7 +376,10 @@ _SECRET_KEYS = ("bits", "lambdas", "thetas", "phis")
 
 
 def _fingerprint(state: StateVector) -> str:
-    return hashlib.sha256(qstate.state_to_json(state).encode()).hexdigest()[:16]
+    """First 16 hex digits of SHA-256 over the amplitudes as little-endian
+    float64 (re, im) pairs; ``+ 0.0`` turns -0.0 into 0.0 before hashing."""
+    pairs = (state.amps.view(np.float64) + 0.0).astype("<f8", copy=False)
+    return hashlib.sha256(pairs.tobytes()).hexdigest()[:16]
 
 
 class Transcript:

@@ -14,7 +14,6 @@ end.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -208,16 +207,29 @@ class ShotHistogram:
             raise ValueError("expected header line 'basis_label,count'")
         counts: dict[str, int] = {}
         for ln in rows[1:]:
-            label, value = ln.strip().split(",")
+            row = ln.strip()
+            fields = row.split(",")
+            if len(fields) != 2:
+                raise ValueError(
+                    f"row {row!r} has {len(fields)} fields, expected basis_label,count"
+                )
+            label, value = fields
+            if not label or set(label) - {"0", "1"}:
+                raise ValueError(f"row {row!r}: basis label {label!r} is not a bit string")
             if label in counts:
                 raise ValueError(f"basis label {label!r} appears twice")
-            counts[label] = int(value)
+            try:
+                counts[label] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"row {row!r}: count {value!r} is not an integer"
+                ) from None
             if counts[label] < 0:
                 raise ValueError(f"basis label {label!r} has a negative count")
         if not counts:
             raise ValueError("histogram has no rows")
         n = len(next(iter(counts)))
-        if any(len(lbl) != n or set(lbl) - {"0", "1"} for lbl in counts):
+        if any(len(lbl) != n for lbl in counts):
             raise ValueError("inconsistent basis labels in histogram")
         shots = sum(counts.values())
         if shots == 0:
@@ -232,8 +244,9 @@ def sample(state: StateVector, shots: int, rng: np.random.Generator) -> ShotHist
     probs = distribution(state)
     draw = rng.multinomial(shots, probs)
     width = state.n
+    # Only drawn outcomes get a label: at most ``shots`` of the 2**n entries.
     counts = {
-        format(i, f"0{width}b"): int(c) for i, c in enumerate(draw) if c > 0
+        format(int(i), f"0{width}b"): int(draw[i]) for i in np.flatnonzero(draw)
     }
     return ShotHistogram(n=state.n, shots=shots, counts=counts)
 
@@ -245,42 +258,6 @@ def swap_test_pass_probability(a: StateVector, b: StateVector) -> float:
     return 0.5 + 0.5 * overlap_sq(a, b)
 
 
-def _swap_test_ancilla_distribution(a: StateVector, b: StateVector) -> float:
-    """Run the (2n+1)-qubit ancilla circuit exactly; returns P(ancilla = 1).
-
-    Layout: ancilla is qubit 0, register a occupies qubits 1..n, register b
-    occupies qubits n+1..2n. Circuit: H on ancilla, controlled swaps pairing
-    qubit i of a with qubit i of b, H on ancilla.
-    """
-    if a.n != b.n:
-        raise DimensionMismatchError(
-            f"swap test needs equal sizes, got n={a.n} and n={b.n}"
-        )
-    n = a.n
-    total = 2 * n + 1
-    amps = np.kron(np.array([1.0, 0.0], dtype=np.complex128),
-                   np.kron(a.amps, b.amps))
-    inv = 1.0 / math.sqrt(2.0)
-    h = np.array([[inv, inv], [inv, -inv]], dtype=np.complex128)
-    kernels.apply_single_inplace(amps, _mask(total, 0), h)
-    # Controlled swap = permutation of basis labels where the ancilla bit is set.
-    idx = np.arange(2 ** total)
-    anc = _mask(total, 0)
-    perm = idx.copy()
-    for i in range(n):
-        ma = _mask(total, 1 + i)
-        mb = _mask(total, 1 + n + i)
-        bit_a = (perm & ma) != 0
-        bit_b = (perm & mb) != 0
-        differ = ((idx & anc) != 0) & (bit_a != bit_b)
-        perm = np.where(differ, perm ^ (ma | mb), perm)
-    # The pairwise swap is an involution, so gathering by perm applies it.
-    amps = amps[perm]
-    kernels.apply_single_inplace(amps, _mask(total, 0), h)
-    probs = np.abs(amps) ** 2
-    return float(probs[(idx & anc) != 0].sum())
-
-
 def swap_test_sampled(a: StateVector, b: StateVector, shots: int,
                       rng: np.random.Generator) -> tuple[bool, int]:
     """Finite-shot swap test; returns (accepted, number of ancilla-1 outcomes).
@@ -290,7 +267,9 @@ def swap_test_sampled(a: StateVector, b: StateVector, shots: int,
     """
     if shots <= 0:
         raise ZeroShotsError(f"shots must be positive, got {shots}")
-    p_one = _swap_test_ancilla_distribution(a, b)
+    # P(ancilla = 1) = (1 - |<a|b>|^2) / 2 exactly (Buhrman et al., PRL 87,
+    # 167902, 2001); tests/oracles.py runs the (2n+1)-qubit circuit against it.
+    p_one = 1.0 - swap_test_pass_probability(a, b)
     ones = int(rng.binomial(shots, min(max(p_one, 0.0), 1.0)))
     return ones == 0, ones
 

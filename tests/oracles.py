@@ -88,3 +88,33 @@ def pauli_string_matrix(sigma: str) -> np.ndarray:
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
     return amps / np.linalg.norm(amps)
+
+
+def swap_test_ancilla_distribution(a: np.ndarray, b: np.ndarray) -> float:
+    """Run the (2n+1)-qubit swap-test circuit exactly; returns P(ancilla = 1).
+
+    Layout: the ancilla is qubit 0 (the most significant bit), register a
+    occupies qubits 1..n and register b qubits n+1..2n. Circuit: H on the
+    ancilla, controlled swaps pairing qubit i of a with qubit i of b, H on the
+    ancilla. The state has 2^(2n+1) amplitudes, so memory grows as 4^n.
+    """
+    n = len(a).bit_length() - 1
+    assert len(a) == len(b) == 2 ** n
+    total = 2 * n + 1
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+    amps = np.kron(np.array([1.0, 0.0], dtype=np.complex128), np.kron(a, b))
+    amps = (h @ amps.reshape(2, -1)).reshape(-1)
+    # Controlled swap = permutation of basis labels where the ancilla bit is set.
+    idx = np.arange(2 ** total)
+    anc = 1 << (total - 1)
+    perm = idx.copy()
+    for i in range(n):
+        ma = 1 << (total - 2 - i)
+        mb = 1 << (n - 1 - i)
+        bit_a = (perm & ma) != 0
+        bit_b = (perm & mb) != 0
+        differ = ((idx & anc) != 0) & (bit_a != bit_b)
+        perm = np.where(differ, perm ^ (ma | mb), perm)
+    # The pairwise swap is an involution, so gathering by perm applies it.
+    amps = (h @ amps[perm].reshape(2, -1)).reshape(-1)
+    return float(np.sum(np.abs(amps[anc:]) ** 2))

@@ -153,7 +153,11 @@ class TestRun:
         ("0110,0\n1111,0\n", "sum to zero"),
         ("0110,-4\n1111,5\n", "negative count"),
         ("0110,3\n0110,5\n", "appears twice"),
-    ], ids=["all-zero", "negative", "duplicate"])
+        ("0110,5,7\n", "'0110,5,7' has 3 fields"),
+        (",5\n", "basis label '' is not a bit string"),
+        ("0110,abc\n", "count 'abc' is not an integer"),
+    ], ids=["all-zero", "negative", "duplicate", "extra-field", "empty-label",
+            "non-integer"])
     def test_bad_compare_csv_exits_2(self, tmp_path, capsys, rows, reason):
         path = tmp_path / "h.csv"
         path.write_text("basis_label,count\n" + rows)

@@ -232,6 +232,14 @@ class TestDeliveryLedger:
         ledger.distribute("kgc", "verifier", "signing-key", "1010", "quantum-auth")
         assert len(ledger.records()) == 2
 
+    def test_lookup_rejects_two_senders(self):
+        # Same purpose to the same receiver from two senders: no silent pick.
+        ledger = DeliveryLedger()
+        ledger.distribute("kgc", "verifier", "blind-key", "0011", "qkd")
+        ledger.distribute("signer_1", "verifier", "blind-key", "1100", "qkd")
+        with pytest.raises(DuplicateDeliveryError, match="'kgc', 'signer_1'"):
+            ledger.lookup("verifier", "blind-key")
+
     def test_unknown_party(self):
         with pytest.raises(UnknownPartyError):
             DeliveryLedger().lookup("signer_9", "signing-key")

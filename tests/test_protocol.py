@@ -1,8 +1,10 @@
 """Protocol session phases, transcript determinism and end-to-end runs."""
 
 import dataclasses
+import hashlib
 import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -33,11 +35,12 @@ from aqs.protocol import (
     TamperSpec,
     VerifyMode,
     Wiring,
+    _fingerprint,
     encode_classical_message,
     run_protocol,
     signer,
 )
-from aqs.qstate import StateVector, overlap_sq
+from aqs.qstate import StateVector, basis_state, overlap_sq
 
 from oracles import random_state
 
@@ -538,3 +541,28 @@ class TestTranscriptSerialization:
         (pkg_event,) = [e for e in t.events if e["type"] == "package"]
         assert len(pkg_event["payload"]["signature_fp"]) == 16
         assert "amps" not in json.dumps(t.to_dict()["events"])
+
+
+class TestFingerprint:
+    """A fingerprint is the first 16 hex digits of SHA-256 over the amplitudes
+    as little-endian float64 (re, im) pairs, with -0.0 hashed as 0.0."""
+
+    def test_pinned_small_state(self):
+        pairs = [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+        blob = b"".join(struct.pack("<d", x) for pair in pairs for x in pair)
+        expected = hashlib.sha256(blob).hexdigest()[:16]
+        assert expected == "367d0297986cd0ee"
+        assert _fingerprint(basis_state(2, 1)) == expected
+
+    def test_negative_zero_hashes_like_zero(self):
+        signed = StateVector(2, np.array([complex(-0.0, -0.0), complex(1.0, -0.0),
+                                          complex(-0.0, 0.0), 0.0]))
+        plain = basis_state(2, 1)
+        assert signed.amps.tobytes() != plain.amps.tobytes()
+        assert _fingerprint(signed) == _fingerprint(plain)
+
+    def test_sign_flip_changes_fingerprint(self):
+        amps = random_state(3, np.random.default_rng(12))
+        flipped = amps.copy()
+        flipped[5] = -flipped[5]
+        assert _fingerprint(StateVector(3, amps)) != _fingerprint(StateVector(3, flipped))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aqs import gates, qstate
+from aqs import gates
 from aqs.errors import (
     ControlEqualsTargetError,
     DimensionMismatchError,
@@ -31,7 +31,12 @@ from aqs.qstate import (
     swap_test_sampled,
 )
 
-from oracles import controlled_matrix, random_state, single_matrix
+from oracles import (
+    controlled_matrix,
+    random_state,
+    single_matrix,
+    swap_test_ancilla_distribution,
+)
 
 
 def make_state(n: int, seed: int) -> StateVector:
@@ -189,6 +194,19 @@ class TestSampling:
         h = sample(basis_state(4, "0110"), 64, np.random.default_rng(1))
         assert h.counts == {"0110": 64}
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 6])
+    def test_counts_match_dense_enumeration(self, n):
+        # Labelling only the drawn outcomes keeps the keys, counts and order of
+        # the loop over every one of the 2**n multinomial entries.
+        for seed in range(4):
+            state = make_state(n, 500 + seed)
+            shots = 3 * 2 ** n + seed
+            draw = np.random.default_rng(seed).multinomial(shots, distribution(state))
+            dense = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draw) if c > 0}
+            h = sample(state, shots, np.random.default_rng(seed))
+            assert list(h.counts.items()) == list(dense.items())
+            assert all(type(c) is int for c in h.counts.values())
+
     def test_csv_roundtrip(self):
         h = sample(make_state(3, 9), 200, np.random.default_rng(8))
         again = ShotHistogram.from_csv(h.to_csv())
@@ -220,8 +238,19 @@ class TestSwapTest:
         for seed in range(5):
             a = make_state(n, 1000 + seed)
             b = make_state(n, 2000 + seed)
-            p_one = qstate._swap_test_ancilla_distribution(a, b)
+            p_one = swap_test_ancilla_distribution(a.amps, b.amps)
             assert p_one == pytest.approx(0.5 * (1 - overlap_sq(a, b)), abs=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_sampled_draw_uses_circuit_probability(self, n):
+        # Same seed, same single binomial draw as from the circuit's P(1).
+        for seed in range(5):
+            a = make_state(n, 3000 + seed)
+            b = make_state(n, 4000 + seed)
+            p_one = swap_test_ancilla_distribution(a.amps, b.amps)
+            want = int(np.random.default_rng(seed).binomial(64, p_one))
+            _, ones = swap_test_sampled(a, b, 64, np.random.default_rng(seed))
+            assert ones == want
 
     def test_identical_states_always_pass(self):
         s = make_state(3, 33)
