@@ -26,8 +26,6 @@ from .qstate import (
     StateVector,
     basis_state,
     init_product_state,
-    state_from_json,
-    state_to_json,
 )
 
 __version__ = "0.1.0"
@@ -53,8 +51,6 @@ __all__ = [
     "init_product_state",
     "run_protocol",
     "sample_lambda",
-    "state_from_json",
-    "state_to_json",
     "tag_of_bits",
     "xor_bits",
     "__version__",

@@ -17,7 +17,6 @@ from . import cipher, gates, keys, qstate
 from .cipher import EncryptionContext, EulerMode, Scheme
 from .errors import LengthMismatchError
 from .protocol import (
-    KGC,
     VERIFIER,
     MessageSpec,
     ProtocolSession,
@@ -275,6 +274,8 @@ def impersonation_attempt(n: int, trials: int, seed: int,
         raise ValueError(
             f"unknown knowledge level {knowledge!r}; expected {KNOWLEDGE_LEVELS}"
         )
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng([seed, 0])
     session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
     true_key = session.ledger.lookup(signer(1).label, "identity-key")
@@ -287,50 +288,39 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     for t in range(trials):
         trial_rng = np.random.default_rng([seed, 1, t])
         if knowledge == "none":
-            guess = keys.random_bits(n, trial_rng)
-            guess_tag = keys.tag_of_bits(guess)
+            guess_tag = keys.tag_of_bits(keys.random_bits(n, trial_rng))
             blinded = keys.tag_of_bits(keys.xor_bits(guess_tag, blind_key))
-            passed_hash = blinded == target_tag
-            if not passed_hash:
+            if blinded != target_tag:
                 outcomes.append((False, None))
                 if collect_details:
                     details.append(
                         {"trial": t, "hash_pass": False, "accepted": False}
                     )
                 continue
-            hash_passes += 1
-            junk_message = MessageSpec.random_product(n, trial_rng).prepare()
-            junk_signature = MessageSpec.random_product(n, trial_rng).prepare()
             pkg = SignaturePackage(
-                signer=signer(1), message=junk_message,
-                signature=junk_signature, tag=guess_tag,
+                signer=signer(1),
+                message=MessageSpec.random_product(n, trial_rng).prepare(),
+                signature=MessageSpec.random_product(n, trial_rng).prepare(),
+                tag=guess_tag,
             )
-            out = session.kgc_verify(session.verifier_forward(pkg))
-            outcomes.append((out.accepted, out.overlap_sq))
-            if collect_details:
-                details.append(
-                    {"trial": t, "hash_pass": True, "accepted": out.accepted,
-                     "overlap_sq": out.overlap_sq}
-                )
-            continue
-
-        # Knowledge of the key (and possibly the angles): build a real signature.
-        hash_passes += 1
-        spec = MessageSpec.random_product(n, trial_rng)
-        if knowledge == "key":
-            lambdas = keys.sample_lambda(n, trial_rng)
         else:
-            lambdas = session._kgc_lambdas[1]
-        ctx = EncryptionContext(
-            scheme=Scheme.CHAINED_CU, n=n,
-            perm=keys.derive_permutation(true_key, 0), lambdas=lambdas,
-        )
-        pkg = SignaturePackage(
-            signer=signer(1),
-            message=spec.prepare(),
-            signature=cipher.make_signature(spec.prepare(), ctx),
-            tag=keys.tag_of_bits(true_key),
-        )
+            # Knowledge of the key (and possibly the angles): a real signature.
+            spec = MessageSpec.random_product(n, trial_rng)
+            if knowledge == "key":
+                lambdas = keys.sample_lambda(n, trial_rng)
+            else:
+                lambdas = session._signers[1].lambdas
+            ctx = EncryptionContext(
+                scheme=Scheme.CHAINED_CU, n=n,
+                perm=keys.derive_permutation(true_key), lambdas=lambdas,
+            )
+            pkg = SignaturePackage(
+                signer=signer(1),
+                message=spec.prepare(),
+                signature=cipher.make_signature(spec.prepare(), ctx),
+                tag=keys.tag_of_bits(true_key),
+            )
+        hash_passes += 1
         out = session.kgc_verify(session.verifier_forward(pkg))
         outcomes.append((out.accepted, out.overlap_sq))
         if collect_details:

@@ -168,8 +168,7 @@ def _compare_against(result, csv_path: Path) -> float:
     )
 
 
-def _emit_run_outputs(result, args: argparse.Namespace,
-                      extra_files: dict[str, str] | None = None) -> None:
+def _emit_run_outputs(result, args: argparse.Namespace) -> None:
     print(_outcome_line(result.outcome))
     tv = None
     if args.compare is not None:
@@ -185,8 +184,6 @@ def _emit_run_outputs(result, args: argparse.Namespace,
     if tv is not None:
         _write(args.out, "comparison.json",
                json.dumps({"tv_distance": tv}, sort_keys=True) + "\n")
-    for name, text in (extra_files or {}).items():
-        _write(args.out, name, text)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:

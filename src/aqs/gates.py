@@ -32,11 +32,6 @@ def u_gate(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-def phase_gate(lam: float) -> np.ndarray:
-    """Diagonal phase gate diag(1, e^{i lam}) = U(0, 0, lam)."""
-    return np.array([[1.0, 0.0], [0.0, np.exp(1j * lam)]], dtype=np.complex128)
-
-
 def identity_gate() -> np.ndarray:
     return np.eye(2, dtype=np.complex128)
 
@@ -51,11 +46,6 @@ def pauli_y() -> np.ndarray:
 
 def pauli_z() -> np.ndarray:
     return np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-def hadamard() -> np.ndarray:
-    inv = 1.0 / math.sqrt(2.0)
-    return np.array([[inv, inv], [inv, -inv]], dtype=np.complex128)
 
 
 def pauli(name: str) -> np.ndarray:

@@ -50,18 +50,14 @@ def xor_bits(a: str, b: str) -> str:
     return "".join("1" if x != y else "0" for x, y in zip(a, b))
 
 
-def derive_permutation(bits: str, indexing_base: int = 0) -> tuple[int, ...]:
+def derive_permutation(bits: str) -> tuple[int, ...]:
     """Permutation from a bit string: 0-bit positions ascending, then 1-bit.
 
-    Positions are counted from ``indexing_base``. With base 0, '1010' gives
-    (1, 3, 0, 2); with base 1, '11010' gives (3, 5, 1, 2, 4). The protocol
-    uses base 0 so entries index qubits directly.
+    '1010' gives (1, 3, 0, 2); entries index qubits directly.
     """
     _check_bits(bits)
-    if indexing_base not in (0, 1):
-        raise ValueError(f"indexing_base must be 0 or 1, got {indexing_base}")
-    zeros = [i + indexing_base for i, ch in enumerate(bits) if ch == "0"]
-    ones = [i + indexing_base for i, ch in enumerate(bits) if ch == "1"]
+    zeros = [i for i, ch in enumerate(bits) if ch == "0"]
+    ones = [i for i, ch in enumerate(bits) if ch == "1"]
     return tuple(zeros + ones)
 
 

@@ -161,15 +161,6 @@ class MessageSpec:
             "amps": [[a.real, a.imag, b.real, b.imag] for a, b in self.amps],
         }
 
-    @staticmethod
-    def from_payload(data: dict[str, Any]) -> "MessageSpec":
-        if data["kind"] == "classical":
-            return MessageSpec.classical(data["bits"])
-        pairs = [
-            (complex(ar, ai), complex(br, bi)) for ar, ai, br, bi in data["amps"]
-        ]
-        return MessageSpec.product(pairs)
-
 
 def encode_classical_message(bits: str) -> StateVector:
     """Computational basis state |b1...bn> for a classical bit string."""
@@ -469,7 +460,6 @@ class ProtocolSession:
         self._rng_shots = np.random.default_rng(config.seed_shots)
         self._signers: dict[int, _SignerState] = {}
         self._verifier_key: str | None = None
-        self._kgc_lambdas: dict[int, tuple[float, ...]] = {}
         self._proofs: dict[int, SignatureProof] = {}
         self._direct_messages: dict[int, StateVector] = {}
         self._last_recovered: StateVector | None = None
@@ -485,7 +475,7 @@ class ProtocolSession:
                 bits = cfg.inject_key_bits
             else:
                 bits = keys.random_bits(n, self._rng_keys)
-            state = _SignerState(key_bits=bits, perm=keys.derive_permutation(bits, 0))
+            state = _SignerState(key_bits=bits, perm=keys.derive_permutation(bits))
             if cfg.scheme is Scheme.QOTP:
                 state.qotp_key = keys.random_bits(2 * n, self._rng_keys)
             self._signers[idx] = state
@@ -528,9 +518,8 @@ class ProtocolSession:
         else:
             st.thetas = None
             st.phis = None
-        # The angle transfer rides the authenticated channel, so the arbiter's
-        # copy always matches the signer's.
-        self._kgc_lambdas[signer_index] = lams
+        # The angle transfer rides the authenticated channel, so the arbiter
+        # reads the signer's angles from the same record.
         self.transcript.append(
             "lambda-registration", signer(signer_index).label, KGC.label, payload
         )
@@ -561,22 +550,12 @@ class ProtocolSession:
 
     # -- phase 3: signing
 
-    def sign(self, signer_index: int, message: StateVector,
-             ops: OpList | None = None) -> SignaturePackage:
-        cfg = self.config
+    def sign(self, signer_index: int, message: StateVector) -> SignaturePackage:
         st = self._signer_state(signer_index)
-        if cfg.scheme is Scheme.CHAINED_CU and st.lambdas is None:
-            raise MissingLambdaError(
-                f"signer {signer_index} has not registered signing angles"
-            )
-        if message.n != cfg.n:
-            raise LengthMismatchError(
-                f"message has {message.n} qubits, session runs n={cfg.n}"
-            )
         ctx = self.context_for(signer_index)
         gate_ops: OpList = []
         signature = cipher.make_signature(message, ctx, gate_ops)
-        self._log_gates(signer(signer_index).label, gate_ops, ops)
+        self._log_gates(signer(signer_index).label, gate_ops)
         self._log_skipped_steps(signer(signer_index).label, ctx)
         tag = keys.tag_of_bits(st.key_bits)
         pkg = SignaturePackage(
@@ -589,14 +568,11 @@ class ProtocolSession:
         )
         return pkg
 
-    def _log_gates(self, owner: str, gate_ops: OpList,
-                   collect: OpList | None) -> None:
+    def _log_gates(self, owner: str, gate_ops: OpList) -> None:
         for name, qubits in gate_ops:
             self.transcript.append(
                 "gate", owner, owner, {"gate": name, "qubits": list(qubits)}
             )
-            if collect is not None:
-                collect.append((name, qubits))
 
     def _log_skipped_steps(self, owner: str, ctx: EncryptionContext) -> None:
         # Identity chain steps stay out of the gate count but leave a trace.
@@ -608,23 +584,11 @@ class ProtocolSession:
                     "skipped-step", owner, owner, {"slot": j}
                 )
 
-    def log_initialize(self, owner: PartyId, n: int, ops: OpList | None = None) -> None:
-        for q in range(n):
-            self.transcript.append(
-                "gate", owner.label, owner.label,
-                {"gate": "initialize", "qubits": [q]},
-            )
-            if ops is not None:
-                ops.append(("initialize", (q,)))
+    def log_initialize(self, owner: PartyId, n: int) -> None:
+        self._log_gates(owner.label, [("initialize", (q,)) for q in range(n)])
 
-    def log_measure(self, owner: PartyId, n: int, ops: OpList | None = None) -> None:
-        for q in range(n):
-            self.transcript.append(
-                "gate", owner.label, owner.label,
-                {"gate": "measure", "qubits": [q]},
-            )
-            if ops is not None:
-                ops.append(("measure", (q,)))
+    def log_measure(self, owner: PartyId, n: int) -> None:
+        self._log_gates(owner.label, [("measure", (q,)) for q in range(n)])
 
     # -- direct wiring: the signer hands the message register to the arbiter
 
@@ -661,8 +625,7 @@ class ProtocolSession:
 
     # -- phase 4b: arbiter verification
 
-    def kgc_verify(self, fwd: ForwardedPackage,
-                   ops: OpList | None = None) -> VerificationOutcome:
+    def kgc_verify(self, fwd: ForwardedPackage) -> VerificationOutcome:
         cfg = self.config
         idx = fwd.signer.index
         st = self._signer_state(idx)
@@ -683,14 +646,10 @@ class ProtocolSession:
             raise LengthMismatchError(
                 f"message has {message.n} qubits, signature {fwd.signature.n}"
             )
-        if cfg.scheme is Scheme.CHAINED_CU and idx not in self._kgc_lambdas:
-            raise MissingLambdaError(
-                f"arbiter holds no signing angles for signer {idx}"
-            )
         ctx = self.context_for(idx)
         gate_ops: OpList = []
         recovered = cipher.recover_message(fwd.signature, ctx, gate_ops)
-        self._log_gates(KGC.label, gate_ops, ops)
+        self._log_gates(KGC.label, gate_ops)
         self._log_skipped_steps(KGC.label, ctx)
         self._last_recovered = recovered
         ov = qstate.overlap_sq(recovered, message)
@@ -698,20 +657,15 @@ class ProtocolSession:
             accepted, ones = qstate.swap_test_sampled(
                 recovered, message, cfg.swap_shots, self._rng_shots
             )
-            outcome = VerificationOutcome(
-                accepted=accepted, stage="state-compare", overlap_sq=ov,
-                pass_probability=qstate.swap_test_pass_probability(recovered, message),
-                swap_ones=ones,
-            )
         else:
-            outcome = VerificationOutcome(
-                accepted=ov >= EXACT_ACCEPT_THRESHOLD, stage="state-compare",
-                overlap_sq=ov,
-                pass_probability=0.5 + 0.5 * ov,
-            )
+            accepted, ones = ov >= EXACT_ACCEPT_THRESHOLD, None
+        # The swap test's pass probability, 1/2 + |<a|b>|^2 / 2.
+        outcome = VerificationOutcome(
+            accepted=accepted, stage="state-compare", overlap_sq=ov,
+            pass_probability=0.5 + 0.5 * ov, swap_ones=ones,
+        )
         if outcome.accepted:
-            proof = SignatureProof(signer=fwd.signer,
-                                   lambdas=self._kgc_lambdas.get(idx, ()),
+            proof = SignatureProof(signer=fwd.signer, lambdas=st.lambdas or (),
                                    tag=fwd.tag)
             self._proofs[idx] = proof
             self.transcript.append(
@@ -788,7 +742,6 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     idx = config.signer_index
     session.register_lambda(idx, inject=config.inject_lambdas)
 
-    ops: OpList = []
     alice = signer(idx)
     # Two independent preparations from one recipe: the register to sign and
     # the clear copy the arbiter compares against.
@@ -798,9 +751,9 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         "prepare-message", alice.label, alice.label,
         {"n": config.n, "copies": 2, "message_fp": _fingerprint(clear_copy)},
     )
-    session.log_initialize(alice, config.n, ops)
+    session.log_initialize(alice, config.n)
 
-    pkg = session.sign(idx, to_sign, ops)
+    pkg = session.sign(idx, to_sign)
     pkg = dataclasses.replace(pkg, message=clear_copy)
 
     tamper = config.tamper
@@ -820,14 +773,14 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         )
         fwd = _tamper(fwd, tamper)
 
-    outcome = session.kgc_verify(fwd, ops)
+    outcome = session.kgc_verify(fwd)
 
     recovered = None
     histogram = None
     proof = None
     if outcome.stage == "state-compare":
         recovered = session._last_recovered
-        session.log_measure(KGC, config.n, ops)
+        session.log_measure(KGC, config.n)
         if sample_histogram:
             histogram = qstate.sample(recovered, config.shots, session.shots_rng)
             session.transcript.append(
@@ -841,5 +794,5 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     return ProtocolResult(
         config=config, session=session, transcript=session.transcript,
         outcome=outcome, message_state=clear_copy, recovered_state=recovered,
-        histogram=histogram, proof=proof, ops=ops,
+        histogram=histogram, proof=proof, ops=session.transcript.gate_events(),
     )

@@ -13,7 +13,6 @@ end.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -77,10 +76,6 @@ class StateVector:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    @property
-    def dim(self) -> int:
-        return 2 ** self.n
 
     def working_copy(self) -> np.ndarray:
         """Fresh writable copy of the amplitudes."""
@@ -191,9 +186,6 @@ class ShotHistogram:
     shots: int
     counts: dict[str, int]
 
-    def probability(self, label: str) -> float:
-        return self.counts.get(label, 0) / self.shots
-
     def to_csv(self) -> str:
         lines = ["basis_label,count"]
         for label in sorted(self.counts):
@@ -273,20 +265,3 @@ def swap_test_sampled(a: StateVector, b: StateVector, shots: int,
     ones = int(rng.binomial(shots, min(max(p_one, 0.0), 1.0)))
     return ones == 0, ones
 
-
-# -- serialization --------------------------------------------------------------
-
-def state_to_json(state: StateVector) -> str:
-    """JSON form {"n": ..., "amps": [[re, im], ...]} with .17g floats."""
-    amps = [
-        [float(f"{z.real:.17g}"), float(f"{z.imag:.17g}")] for z in state.amps
-    ]
-    return json.dumps({"n": state.n, "amps": amps}, separators=(",", ":"))
-
-
-def state_from_json(text: str) -> StateVector:
-    data = json.loads(text)
-    n = int(data["n"])
-    pairs = data["amps"]
-    amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return StateVector(n, amps)

@@ -219,6 +219,12 @@ class TestImpersonation:
         with pytest.raises(ValueError):
             impersonation_attempt(n=4, trials=1, seed=0, knowledge="psychic")
 
+    def test_non_positive_trials_rejected(self):
+        for knowledge, trials in itertools.product(KNOWLEDGE_LEVELS, (0, -1)):
+            with pytest.raises(ValueError, match="trials must be positive"):
+                impersonation_attempt(n=4, trials=trials, seed=0,
+                                      knowledge=knowledge)
+
     def test_deterministic(self):
         a = impersonation_attempt(n=6, trials=50, seed=5)
         b = impersonation_attempt(n=6, trials=50, seed=5)

@@ -225,6 +225,16 @@ class TestAttack:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert float(row.split(",")[4]) == 1.0
 
+    @pytest.mark.parametrize("knowledge, trials", [("none", "-1"), ("key", "0")])
+    def test_impersonation_non_positive_trials_exits_2(self, capsys, knowledge,
+                                                       trials):
+        assert run_cli("attack", "--impersonate", knowledge,
+                       "--trials", trials) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "trials must be positive" in captured.err
+        assert captured.out == ""
+
     def test_tamper_tag_flip(self, capsys, tmp_path):
         assert run_cli("attack", "--tamper", "tag-flip",
                        "--out", str(tmp_path / "t")) == 0

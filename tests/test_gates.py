@@ -17,7 +17,8 @@ class TestUGate:
     def test_phase_gate_is_theta_phi_zero(self):
         for lam in (0.0, 0.3, math.pi / 3, math.pi, 2.9):
             np.testing.assert_allclose(
-                gates.u_gate(0.0, 0.0, lam), gates.phase_gate(lam), atol=1e-15
+                gates.u_gate(0.0, 0.0, lam), np.diag([1.0, np.exp(1j * lam)]),
+                atol=1e-15,
             )
 
     def test_pauli_special_cases(self):
@@ -46,12 +47,6 @@ class TestUGate:
     def test_always_unitary(self, theta, phi, lam):
         g = gates.u_gate(theta, phi, lam)
         np.testing.assert_allclose(g @ g.conj().T, np.eye(2), atol=1e-12)
-
-    def test_phase_gate_diagonal(self):
-        g = gates.phase_gate(0.77)
-        assert g[0, 1] == 0 and g[1, 0] == 0
-        assert g[0, 0] == 1
-        assert g[1, 1] == pytest.approx(np.exp(0.77j))
 
 
 class TestPauliLookup:
@@ -82,10 +77,6 @@ class TestAdjoint:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             gates.adjoint(np.array([[1.0, 0.0], [0.0, 2.0]]))
-
-    def test_hadamard_self_adjoint(self):
-        h = gates.hadamard()
-        np.testing.assert_allclose(gates.adjoint(h), h, atol=1e-15)
 
 
 class TestIsUnitary:

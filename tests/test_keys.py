@@ -83,7 +83,6 @@ class TestBitStrings:
 class TestPermutation:
     def test_worked_examples(self):
         assert derive_permutation("1010") == (1, 3, 0, 2)
-        assert derive_permutation("11010", indexing_base=1) == (3, 5, 1, 2, 4)
         assert derive_permutation("0000") == (0, 1, 2, 3)
         assert derive_permutation("1111") == (0, 1, 2, 3)
 
@@ -94,14 +93,6 @@ class TestPermutation:
             perm = derive_permutation(bits)
             assert sorted(perm) == list(range(n))
 
-    def test_base_shift_consistency(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            bits = random_bits(12, rng)
-            base0 = derive_permutation(bits, 0)
-            base1 = derive_permutation(bits, 1)
-            assert base1 == tuple(p + 1 for p in base0)
-
     def test_zeros_before_ones(self):
         # All positions holding 0 come first, each group in ascending order.
         bits = "0110100101"
@@ -111,10 +102,6 @@ class TestPermutation:
         assert all(bits[p] == "1" for p in perm[k:])
         assert list(perm[:k]) == sorted(perm[:k])
         assert list(perm[k:]) == sorted(perm[k:])
-
-    def test_bad_base(self):
-        with pytest.raises(ValueError):
-            derive_permutation("10", indexing_base=2)
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):

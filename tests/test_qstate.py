@@ -25,8 +25,6 @@ from aqs.qstate import (
     inner_product,
     overlap_sq,
     sample,
-    state_from_json,
-    state_to_json,
     swap_test_pass_probability,
     swap_test_sampled,
 )
@@ -273,20 +271,3 @@ class TestSwapTest:
         with pytest.raises(DimensionMismatchError):
             swap_test_sampled(basis_state(1, 0), basis_state(2, 0), 8,
                               np.random.default_rng(0))
-
-
-class TestSerialization:
-    def test_roundtrip_exact(self):
-        s = make_state(4, 77)
-        again = state_from_json(state_to_json(s))
-        assert again.n == s.n
-        np.testing.assert_array_equal(again.amps, s.amps)
-
-    def test_json_shape(self):
-        text = state_to_json(basis_state(1, 1))
-        assert text == '{"n":1,"amps":[[0.0,0.0],[1.0,0.0]]}'
-
-    def test_roundtrip_survives_reserialization(self):
-        s = make_state(3, 78)
-        once = state_to_json(s)
-        assert state_to_json(state_from_json(once)) == once
