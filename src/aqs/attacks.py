@@ -15,7 +15,7 @@ import numpy as np
 
 from . import cipher, gates, keys, qstate
 from .cipher import EncryptionContext, EulerMode, Scheme
-from .errors import LengthMismatchError
+from .errors import ConfigError, LengthMismatchError
 from .protocol import (
     VERIFIER,
     MessageSpec,
@@ -66,7 +66,7 @@ def random_pauli_string(n: int, rng: np.random.Generator,
                 return s
     if sigma_class == "random":
         return "".join(rng.choice(list(PAULI_LETTERS), size=n))
-    raise ValueError(f"unknown sigma class {sigma_class!r}; expected {SIGMA_CLASSES}")
+    raise ConfigError(f"unknown sigma class {sigma_class!r}; expected {SIGMA_CLASSES}")
 
 
 # -- reports ---------------------------------------------------------------------
@@ -169,14 +169,12 @@ def _aggregate(scheme: str, euler_mode: str, sigma_class: str,
 # -- Pauli forgery -----------------------------------------------------------------
 
 def honest_package(session: ProtocolSession, signer_index: int = 1) -> SignaturePackage:
-    """Complete the signing phase: two fresh copies from the session's recipe."""
-    spec = session.config.message
-    to_sign = spec.prepare()
-    clear_copy = spec.prepare()
-    pkg = session.sign(signer_index, to_sign)
-    return SignaturePackage(
-        signer=pkg.signer, message=clear_copy, signature=pkg.signature, tag=pkg.tag
-    )
+    """Complete the signing phase on the session's message.
+
+    One preparation is both the signed register and the clear copy, as in
+    :func:`aqs.protocol.run_protocol`.
+    """
+    return session.sign(signer_index, session.config.message.prepare())
 
 
 def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
@@ -227,9 +225,9 @@ def forgery_sweep(n: int, trials: int, seed: int,
                   collect_details: bool = False) -> list[AttackReport]:
     """Forgery statistics for every scheme row and sigma class."""
     if n < 2:
-        raise ValueError(f"sweep needs n >= 2, got {n}")
+        raise ConfigError(f"sweep needs n >= 2, got {n}")
     if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+        raise ConfigError(f"trials must be positive, got {trials}")
     reports = []
     for row, (scheme, mode) in enumerate(_SWEEP_ROWS):
         mode_label = mode.value if scheme is Scheme.CHAINED_CU else "-"
@@ -271,11 +269,11 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     ``key-and-lambda``: everything the signer knows (reduces to honest).
     """
     if knowledge not in KNOWLEDGE_LEVELS:
-        raise ValueError(
+        raise ConfigError(
             f"unknown knowledge level {knowledge!r}; expected {KNOWLEDGE_LEVELS}"
         )
     if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+        raise ConfigError(f"trials must be positive, got {trials}")
     rng = np.random.default_rng([seed, 0])
     session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
     true_key = session.ledger.lookup(signer(1).label, "identity-key")
@@ -305,19 +303,19 @@ def impersonation_attempt(n: int, trials: int, seed: int,
             )
         else:
             # Knowledge of the key (and possibly the angles): a real signature.
-            spec = MessageSpec.random_product(n, trial_rng)
+            message = MessageSpec.random_product(n, trial_rng).prepare()
             if knowledge == "key":
                 lambdas = keys.sample_lambda(n, trial_rng)
             else:
                 lambdas = session._signers[1].lambdas
             ctx = EncryptionContext(
                 scheme=Scheme.CHAINED_CU, n=n,
-                perm=keys.derive_permutation(true_key), lambdas=lambdas,
+                perm=session.context_for(1).perm, lambdas=lambdas,
             )
             pkg = SignaturePackage(
                 signer=signer(1),
-                message=spec.prepare(),
-                signature=cipher.make_signature(spec.prepare(), ctx),
+                message=message,
+                signature=cipher.make_signature(message, ctx),
                 tag=keys.tag_of_bits(true_key),
             )
         hash_passes += 1

@@ -5,8 +5,12 @@ Subcommands: ``demo`` (the fixed four-qubit reference walkthrough), ``run``
 tamper experiments), ``report`` (gate-count and depth accounting without
 measurement sampling).
 
+Each subcommand registers only the flags it reads, and ``attack`` rejects a
+flag its chosen mode does not read.
+
 Exit codes: 0 success; 1 verification failed while ``--expect-accept`` (or
-during demo); 2 configuration error; 3 I/O error.
+during demo); 2 rejected input (``config error:``); 3 I/O error. Anything
+else, a traceback included, is a bug.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ DEMO_LAMBDAS = (math.pi / 3, math.pi / 4, math.pi / 6, math.pi / 8)
 DEMO_ALPHA = 1.0 / math.sqrt(3.0)
 DEMO_BETA = 1j * math.sqrt(2.0 / 3.0)
 DEMO_QUBITS = 4
-DEMO_SHOTS = 1024
 
 EXIT_OK = 0
 EXIT_REJECTED = 1
@@ -44,56 +47,80 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+# What each attack mode reads besides --qubits and --out, by argparse dest.
+ATTACK_MODE_READS = {
+    "sweep": {"scheme", "sigma_class", "trials", "seed", "verbose"},
+    "impersonate": {"trials", "seed", "verbose"},
+    "tamper": {"scheme", "euler_mode", "seed_keys", "seed_lambda", "wiring",
+               "message", "seed_message", "tamper_channel"},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument the way :func:`main` reports bad input."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"config error: {self.prog}: {message}\n")
+
+
+def seed(text: str) -> int:
+    """argparse type of the seed flags: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seeds are non-negative, got {value}")
+    return value
+
+
+def _add_register_flags(p: argparse.ArgumentParser) -> None:
+    """The protocol configuration, for the commands that build one."""
     p.add_argument("--qubits", type=int, default=4, help="register size n")
     p.add_argument("--scheme", choices=[s.value for s in Scheme], default="cu")
     p.add_argument("--euler-mode", choices=[m.value for m in EulerMode],
                    default="diagonal")
-    p.add_argument("--seed-keys", type=int, default=0)
-    p.add_argument("--seed-lambda", type=int, default=0)
-    p.add_argument("--seed-shots", type=int, default=0)
-    p.add_argument("--shots", type=int, default=1024)
+    p.add_argument("--seed-keys", type=seed, default=0)
+    p.add_argument("--seed-lambda", type=seed, default=0)
     p.add_argument("--wiring", choices=[w.value for w in Wiring], default="relay",
                    help="relay: verifier forwards the message register; "
                         "direct: signer hands it to the arbiter")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
-    p.add_argument("--reveal-secrets", action="store_true",
-                   help="include key bits and signing angles in the transcript")
-    p.add_argument("--expect-accept", action="store_true",
-                   help="exit 1 if verification rejects")
-    p.add_argument("--compare", type=Path, default=None, metavar="CSV",
-                   help="histogram CSV to compare against the exact distribution")
-
-
-def _add_message_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--message", default=None, metavar="BITS",
                    help="classical message bits; default is a random product state")
-    p.add_argument("--seed-message", type=int, default=0,
+    p.add_argument("--seed-message", type=seed, default=0,
                    help="seed for the random product message")
 
 
+def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
+    """For the commands that sample a histogram and write a transcript."""
+    p.add_argument("--seed-shots", type=seed, default=0)
+    p.add_argument("--shots", type=int, default=1024)
+    p.add_argument("--reveal-secrets", action="store_true",
+                   help="include key bits and signing angles in the transcript")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aqs",
         description="Arbitrated quantum signature protocol simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # The demo is a pinned scenario, so it only takes output-side flags.
+    # The demo is a pinned scenario, so it takes no register flags.
     demo = sub.add_parser("demo", help="fixed four-qubit reference walkthrough")
-    demo.add_argument("--seed-shots", type=int, default=0)
-    demo.add_argument("--shots", type=int, default=DEMO_SHOTS)
-    demo.add_argument("--out", type=Path, default=None, help="output directory")
-    demo.add_argument("--reveal-secrets", action="store_true")
-    demo.add_argument("--compare", type=Path, default=None, metavar="CSV")
-
     run = sub.add_parser("run", help="one configurable protocol run")
-    _add_common(run)
-    _add_message_flags(run)
-
     attack = sub.add_parser("attack", help="adversary experiments")
-    _add_common(attack)
-    _add_message_flags(attack)
+    report = sub.add_parser("report", help="gate/depth accounting, no sampling")
+
+    for p in (run, attack, report):
+        _add_register_flags(p)
+    for p in (demo, run):
+        _add_sampling_flags(p)
+    for p in (demo, run, attack, report):
+        p.add_argument("--out", type=Path, default=None, help="output directory")
+    for p in (demo, run, report):
+        p.add_argument("--compare", type=Path, default=None, metavar="CSV",
+                       help="histogram CSV to compare against the exact distribution")
+    run.add_argument("--expect-accept", action="store_true",
+                     help="exit 1 if verification rejects")
+
     attack.add_argument("--sweep", choices=["pauli"], default=None,
                         help="run the scheme x sigma-class forgery sweep")
     attack.add_argument("--class", dest="sigma_class",
@@ -107,43 +134,35 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["signer-verifier", "verifier-kgc"],
                         default="verifier-kgc")
     attack.add_argument("--trials", type=int, default=100)
-    attack.add_argument("--seed", type=int, default=0,
+    attack.add_argument("--seed", type=seed, default=0,
                         help="sweep seed (per-trial streams derive from it)")
     attack.add_argument("--verbose", action="store_true",
                         help="include per-trial detail in the JSON report")
-
-    report = sub.add_parser("report", help="gate/depth accounting, no sampling")
-    _add_common(report)
-    _add_message_flags(report)
-
     return parser
 
 
 def _message_spec(args: argparse.Namespace, n: int) -> MessageSpec:
-    if getattr(args, "message", None) is not None:
+    if args.message is not None:
         if len(args.message) != n:
             raise ConfigError(
                 f"--message has {len(args.message)} bits but --qubits is {n}"
             )
         return MessageSpec.classical(args.message)
-    rng = np.random.default_rng(getattr(args, "seed_message", 0))
-    return MessageSpec.random_product(n, rng)
+    return MessageSpec.random_product(n, np.random.default_rng(args.seed_message))
 
 
-def _config_from_args(args: argparse.Namespace,
-                      message: MessageSpec | None = None) -> RunConfig:
+def _config_from_args(args: argparse.Namespace, **sampling) -> RunConfig:
     n = args.qubits
     return RunConfig(
         n=n,
-        message=message if message is not None else _message_spec(args, n),
+        message=_message_spec(args, n),
         scheme=Scheme(args.scheme),
         euler_mode=EulerMode(args.euler_mode),
         wiring=Wiring(args.wiring),
         verify_mode=VerifyMode.EXACT,
         seed_keys=args.seed_keys,
         seed_lambda=args.seed_lambda,
-        seed_shots=args.seed_shots,
-        shots=args.shots,
+        **sampling,
     )
 
 
@@ -159,21 +178,28 @@ def _outcome_line(outcome) -> str:
     return " ".join(parts)
 
 
-def _compare_against(result, csv_path: Path) -> float:
+def _compare(result, args: argparse.Namespace) -> float | None:
+    """Print and return the TV distance of the ``--compare`` histogram from
+    the exact post-protocol distribution; None without ``--compare``."""
+    if args.compare is None:
+        return None
     if result.recovered_state is None:
         raise ConfigError("nothing to compare: run rejected before state compare")
-    external = qstate.ShotHistogram.from_csv(csv_path.read_text())
-    return reports.compare_histograms(
+    try:
+        text = args.compare.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{args.compare} is not UTF-8 text: {exc}") from None
+    external = qstate.ShotHistogram.from_csv(text)
+    tv = reports.compare_histograms(
         external, qstate.distribution(result.recovered_state)
     )
+    print(f"tv_distance={tv:.12g}")
+    return tv
 
 
 def _emit_run_outputs(result, args: argparse.Namespace) -> None:
     print(_outcome_line(result.outcome))
-    tv = None
-    if args.compare is not None:
-        tv = _compare_against(result, args.compare)
-        print(f"tv_distance={tv:.12g}")
+    tv = _compare(result, args)
     if args.out is None:
         return
     _write(args.out, "transcript.json",
@@ -210,11 +236,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"gate_total={gate.total} sequential_depth={depth.sequential_depth} "
           f"asap_depth={depth.asap_depth}")
 
-    tv = None
-    if args.compare is not None:
-        tv = _compare_against(result, args.compare)
-        print(f"tv_distance={tv:.12g}")
-
+    tv = _compare(result, args)
     if args.out is not None:
         _write(args.out, "initial_distribution.csv",
                reports.distribution_to_csv(initial))
@@ -233,7 +255,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from_args(args)
+    config = _config_from_args(args, seed_shots=args.seed_shots, shots=args.shots)
     result = run_protocol(config)
     _emit_run_outputs(result, args)
     if args.expect_accept and not result.outcome.accepted:
@@ -241,12 +263,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _reject_foreign_flags(args: argparse.Namespace, mode: str) -> None:
+    defaults = vars(build_parser().parse_args(["attack"]))
+    foreign = set().union(*ATTACK_MODE_READS.values()) - ATTACK_MODE_READS[mode]
+    changed = sorted(
+        "--class" if dest == "sigma_class" else "--" + dest.replace("_", "-")
+        for dest in foreign if getattr(args, dest) != defaults[dest]
+    )
+    if changed:
+        raise ConfigError(f"--{mode} does not read {', '.join(changed)}")
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
-    modes = [m for m in (args.sweep, args.impersonate, args.tamper) if m is not None]
+    modes = [m for m in ATTACK_MODE_READS if getattr(args, m) is not None]
     if len(modes) != 1:
         raise ConfigError(
             "pick exactly one of --sweep, --impersonate, --tamper"
         )
+    _reject_foreign_flags(args, modes[0])
 
     if args.sweep is not None:
         rows = attacks.forgery_sweep(
@@ -279,12 +313,12 @@ def cmd_attack(args: argparse.Namespace) -> int:
                    attacks.reports_to_json([report], verbose=args.verbose) + "\n")
         return EXIT_OK
 
+    config = _config_from_args(args)
     if args.tamper == "tag-flip":
         spec = TamperSpec(channel=args.tamper_channel, tag_flip_bit=0)
     else:
         spec = TamperSpec(channel=args.tamper_channel,
-                          message_pauli="X" + "I" * (args.qubits - 1))
-    config = _config_from_args(args)
+                          message_pauli="X" + "I" * (config.n - 1))
     outcome = attacks.tamper_in_transit(config, spec)
     print(_outcome_line(outcome))
     if args.out is not None:
@@ -298,9 +332,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     result = run_protocol(config, sample_histogram=False)
     text = reports.circuit_report_json(result.ops)
     print(text)
-    if args.compare is not None:
-        tv = _compare_against(result, args.compare)
-        print(f"tv_distance={tv:.12g}")
+    _compare(result, args)
     if args.out is not None:
         _write(args.out, "report.json", text + "\n")
     return EXIT_OK
@@ -319,14 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except AqsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -72,5 +72,7 @@ class InvalidChannelError(AqsError):
     """A tamper specification names a channel that does not exist."""
 
 
-class ConfigError(AqsError):
-    """A run configuration is internally inconsistent."""
+class ConfigError(AqsError, ValueError):
+    """An input from outside the program is out of range or inconsistent.
+
+    Also a ``ValueError``; a plain ``ValueError`` from the package is a bug."""

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import NotUnitaryError
+from .errors import ConfigError, NotUnitaryError
 
 UNITARITY_ATOL = 1e-10
 
@@ -58,7 +58,7 @@ def pauli(name: str) -> np.ndarray:
     }
     key = name.upper()
     if key not in table:
-        raise ValueError(f"unknown Pauli {name!r}; expected one of I, X, Y, Z")
+        raise ConfigError(f"unknown Pauli {name!r}; expected one of I, X, Y, Z")
     return table[key]()
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DuplicateDeliveryError,
     InvalidChannelError,
     LengthMismatchError,
@@ -28,14 +29,14 @@ CHANNEL_KINDS = ("qkd", "quantum-auth")
 
 def _check_bits(bits: str, name: str = "bits") -> str:
     if not bits or any(ch not in "01" for ch in bits):
-        raise ValueError(f"{name} must be a nonempty string of 0s and 1s, got {bits!r}")
+        raise ConfigError(f"{name} must be a nonempty string of 0s and 1s, got {bits!r}")
     return bits
 
 
 def random_bits(length: int, rng: np.random.Generator) -> str:
     """Uniform bit string of the given length."""
     if length < 1:
-        raise ValueError(f"length must be positive, got {length}")
+        raise ConfigError(f"length must be positive, got {length}")
     return "".join("1" if b else "0" for b in rng.integers(0, 2, size=length))
 
 
@@ -73,7 +74,7 @@ def pack_bits(bits: str) -> bytes:
 def hash_tag(data: bytes, n: int) -> str:
     """n-bit tag: SHAKE-256 of ``data``, truncated to the first n bits."""
     if n < 1:
-        raise ValueError(f"tag length must be positive, got {n}")
+        raise ConfigError(f"tag length must be positive, got {n}")
     digest = hashlib.shake_256(data).digest((n + 7) // 8)
     stream = "".join(format(byte, "08b") for byte in digest)
     return stream[:n]
@@ -95,7 +96,7 @@ def chained_tag(key_bits: str, blind_bits: str) -> str:
 def sample_lambda(count: int, rng: np.random.Generator) -> tuple[float, ...]:
     """Independent signing angles, uniform over [0, pi]."""
     if count < 1:
-        raise ValueError(f"count must be positive, got {count}")
+        raise ConfigError(f"count must be positive, got {count}")
     return tuple(float(x) for x in rng.uniform(0.0, LAMBDA_MAX, size=count))
 
 

@@ -42,6 +42,14 @@ from .qstate import OpList, StateVector
 
 EXACT_ACCEPT_THRESHOLD = 1.0 - 1e-9
 
+# Largest register a run may ask for. A run holds about six buffers of
+# 16 * 2**n bytes at its peak (42 / 132 / 404 MiB at n = 16 / 20 / 22), so
+# n = 25 needs about 3 GiB and n = 26 about 6 GiB.
+MAX_QUBITS = 25
+
+# numpy draws shot counts as int64.
+MAX_SHOTS = 2 ** 63 - 1
+
 TAMPER_CHANNELS = ("signer-verifier", "verifier-kgc")
 
 
@@ -98,6 +106,7 @@ class MessageSpec:
 
     Preparing from a recipe is what lets the signer hold "two copies" without
     cloning: both copies are built independently from the same description.
+    States are immutable, so the simulation prepares one and uses it for both.
     """
 
     kind: str
@@ -134,6 +143,7 @@ class MessageSpec:
     @staticmethod
     def random_product(n: int, rng: np.random.Generator) -> "MessageSpec":
         """Per-qubit states drawn uniformly on the Bloch sphere."""
+        _check_ceiling(n)
         pairs = []
         for _ in range(n):
             theta = math.acos(1.0 - 2.0 * rng.uniform())
@@ -160,6 +170,11 @@ class MessageSpec:
             "kind": "product",
             "amps": [[a.real, a.imag, b.real, b.imag] for a, b in self.amps],
         }
+
+
+def _check_ceiling(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ConfigError(f"n = {n} exceeds the {MAX_QUBITS}-qubit ceiling")
 
 
 def encode_classical_message(bits: str) -> StateVector:
@@ -298,7 +313,7 @@ class RunConfig:
     seed_lambda: int = 0
     seed_shots: int = 0
     shots: int = 1024
-    swap_shots: int = 64
+    swap_shots: int = qstate.SWAP_TEST_SHOTS
     tamper: TamperSpec | None = None
     inject_key_bits: str | None = None
     inject_lambdas: tuple[float, ...] | None = None
@@ -310,8 +325,9 @@ class RunConfig:
         object.__setattr__(self, "verify_mode", VerifyMode(self.verify_mode))
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n}")
-        if self.shots < 1:
-            raise ConfigError(f"shots must be at least 1, got {self.shots}")
+        _check_ceiling(self.n)
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ConfigError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
         if self.swap_shots < 1:
             raise ConfigError(f"swap_shots must be at least 1, got {self.swap_shots}")
         if self.message.n != self.n:
@@ -441,11 +457,9 @@ class Transcript:
 @dataclass
 class _SignerState:
     key_bits: str
-    perm: tuple[int, ...]
     lambdas: tuple[float, ...] | None = None
-    thetas: tuple[float, ...] | None = None
-    phis: tuple[float, ...] | None = None
-    qotp_key: str | None = None
+    # Built at setup for cnot and qotp, at angle registration for cu.
+    ctx: EncryptionContext | None = None
 
 
 class ProtocolSession:
@@ -475,13 +489,17 @@ class ProtocolSession:
                 bits = cfg.inject_key_bits
             else:
                 bits = keys.random_bits(n, self._rng_keys)
-            state = _SignerState(key_bits=bits, perm=keys.derive_permutation(bits))
-            if cfg.scheme is Scheme.QOTP:
-                state.qotp_key = keys.random_bits(2 * n, self._rng_keys)
+            state = _SignerState(key_bits=bits)
             self._signers[idx] = state
             self._record_delivery(signer(idx), "identity-key", bits)
-            if state.qotp_key is not None:
-                self._record_delivery(signer(idx), "pad-key", state.qotp_key)
+            if cfg.scheme is Scheme.QOTP:
+                pad = keys.random_bits(2 * n, self._rng_keys)
+                self._record_delivery(signer(idx), "pad-key", pad)
+                state.ctx = EncryptionContext(scheme=cfg.scheme, n=n, qotp_key=pad)
+            elif cfg.scheme is Scheme.CHAINED_CNOT:
+                state.ctx = EncryptionContext(
+                    scheme=cfg.scheme, n=n, perm=keys.derive_permutation(bits)
+                )
         self._verifier_key = keys.random_bits(n, self._rng_keys)
         self._record_delivery(VERIFIER, "blind-key", self._verifier_key)
         self._is_setup = True
@@ -510,14 +528,18 @@ class ProtocolSession:
             raise LengthMismatchError(f"need {n} angles, got {len(lams)}")
         st.lambdas = lams
         payload: dict[str, Any] = {"lambdas": list(lams), "count": n}
-        if self.config.euler_mode is EulerMode.GENERAL:
-            st.thetas = tuple(float(x) for x in self._rng_lambda.uniform(0, math.pi, n))
-            st.phis = tuple(float(x) for x in self._rng_lambda.uniform(0, 2 * math.pi, n))
-            payload["thetas"] = list(st.thetas)
-            payload["phis"] = list(st.phis)
-        else:
-            st.thetas = None
-            st.phis = None
+        cfg = self.config
+        thetas = phis = None
+        if cfg.euler_mode is EulerMode.GENERAL:
+            thetas = tuple(float(x) for x in self._rng_lambda.uniform(0, math.pi, n))
+            phis = tuple(float(x) for x in self._rng_lambda.uniform(0, 2 * math.pi, n))
+            payload["thetas"] = list(thetas)
+            payload["phis"] = list(phis)
+        if cfg.scheme is Scheme.CHAINED_CU:
+            st.ctx = EncryptionContext(
+                scheme=cfg.scheme, n=n, perm=keys.derive_permutation(st.key_bits),
+                lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
+            )
         # The angle transfer rides the authenticated channel, so the arbiter
         # reads the signer's angles from the same record.
         self.transcript.append(
@@ -533,20 +555,12 @@ class ProtocolSession:
         return self._signers[index]
 
     def context_for(self, signer_index: int) -> EncryptionContext:
-        cfg = self.config
-        st = self._signer_state(signer_index)
-        if cfg.scheme is Scheme.QOTP:
-            return EncryptionContext(scheme=cfg.scheme, n=cfg.n, qotp_key=st.qotp_key)
-        if cfg.scheme is Scheme.CHAINED_CNOT:
-            return EncryptionContext(scheme=cfg.scheme, n=cfg.n, perm=st.perm)
-        if st.lambdas is None:
+        ctx = self._signer_state(signer_index).ctx
+        if ctx is None:
             raise MissingLambdaError(
                 f"signer {signer_index} has not registered signing angles"
             )
-        return EncryptionContext(
-            scheme=cfg.scheme, n=cfg.n, perm=st.perm, lambdas=st.lambdas,
-            thetas=st.thetas, phis=st.phis, euler_mode=cfg.euler_mode,
-        )
+        return ctx
 
     # -- phase 3: signing
 
@@ -743,18 +757,17 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     session.register_lambda(idx, inject=config.inject_lambdas)
 
     alice = signer(idx)
-    # Two independent preparations from one recipe: the register to sign and
-    # the clear copy the arbiter compares against.
-    to_sign = config.message.prepare()
-    clear_copy = config.message.prepare()
+    # The protocol prepares two copies from one recipe: the register to sign
+    # and the clear copy the arbiter compares against. States are immutable,
+    # so one preparation serves as both.
+    message = config.message.prepare()
     session.transcript.append(
         "prepare-message", alice.label, alice.label,
-        {"n": config.n, "copies": 2, "message_fp": _fingerprint(clear_copy)},
+        {"n": config.n, "copies": 2, "message_fp": _fingerprint(message)},
     )
     session.log_initialize(alice, config.n)
 
-    pkg = session.sign(idx, to_sign)
-    pkg = dataclasses.replace(pkg, message=clear_copy)
+    pkg = session.sign(idx, message)
 
     tamper = config.tamper
     if tamper is not None and tamper.channel == "signer-verifier":
@@ -793,6 +806,6 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
 
     return ProtocolResult(
         config=config, session=session, transcript=session.transcript,
-        outcome=outcome, message_state=clear_copy, recovered_state=recovered,
+        outcome=outcome, message_state=message, recovered_state=recovered,
         histogram=histogram, proof=proof, ops=session.transcript.gate_events(),
     )

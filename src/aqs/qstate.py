@@ -20,6 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     EmptyMessageError,
     NonNormalizedQubitError,
@@ -86,12 +87,12 @@ def basis_state(n: int, label: int | str) -> StateVector:
     """Computational basis state; label is an index or a bit string."""
     if isinstance(label, str):
         if len(label) != n or any(ch not in "01" for ch in label):
-            raise ValueError(f"label {label!r} is not an {n}-bit string")
+            raise ConfigError(f"label {label!r} is not an {n}-bit string")
         index = int(label, 2)
     else:
         index = int(label)
     if not 0 <= index < 2 ** n:
-        raise ValueError(f"basis index {index} out of range for n={n}")
+        raise ConfigError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(n, amps)
@@ -196,36 +197,36 @@ class ShotHistogram:
     def from_csv(text: str) -> "ShotHistogram":
         rows = [ln for ln in text.strip().splitlines() if ln.strip()]
         if not rows or rows[0].strip() != "basis_label,count":
-            raise ValueError("expected header line 'basis_label,count'")
+            raise ConfigError("expected header line 'basis_label,count'")
         counts: dict[str, int] = {}
         for ln in rows[1:]:
             row = ln.strip()
             fields = row.split(",")
             if len(fields) != 2:
-                raise ValueError(
+                raise ConfigError(
                     f"row {row!r} has {len(fields)} fields, expected basis_label,count"
                 )
             label, value = fields
             if not label or set(label) - {"0", "1"}:
-                raise ValueError(f"row {row!r}: basis label {label!r} is not a bit string")
+                raise ConfigError(f"row {row!r}: basis label {label!r} is not a bit string")
             if label in counts:
-                raise ValueError(f"basis label {label!r} appears twice")
+                raise ConfigError(f"basis label {label!r} appears twice")
             try:
                 counts[label] = int(value)
             except ValueError:
-                raise ValueError(
+                raise ConfigError(
                     f"row {row!r}: count {value!r} is not an integer"
                 ) from None
             if counts[label] < 0:
-                raise ValueError(f"basis label {label!r} has a negative count")
+                raise ConfigError(f"basis label {label!r} has a negative count")
         if not counts:
-            raise ValueError("histogram has no rows")
+            raise ConfigError("histogram has no rows")
         n = len(next(iter(counts)))
         if any(len(lbl) != n for lbl in counts):
-            raise ValueError("inconsistent basis labels in histogram")
+            raise ConfigError("inconsistent basis labels in histogram")
         shots = sum(counts.values())
         if shots == 0:
-            raise ValueError("histogram counts sum to zero")
+            raise ConfigError("histogram counts sum to zero")
         return ShotHistogram(n=n, shots=shots, counts=counts)
 
 

@@ -14,6 +14,7 @@ overlap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -149,8 +150,10 @@ def compare_histograms(a: Any, b: Any) -> float:
         raise DimensionMismatchError(
             f"cannot compare distributions over {na} and {nb} qubits"
         )
+    # fsum rounds once, so the result does not depend on the order in which
+    # the label set iterates, which varies with the string hash seed.
     labels = set(pa) | set(pb)
-    return 0.5 * sum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in labels)
+    return 0.5 * math.fsum(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in labels)
 
 
 def distribution_to_csv(probs: np.ndarray) -> str:

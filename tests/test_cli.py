@@ -1,16 +1,21 @@
 """Command-line behavior: output files, exit codes and cross-command invariants."""
 
+import argparse
+import contextlib
 import filecmp
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from aqs import cli
-from aqs.protocol import VerificationOutcome
+from aqs.protocol import MAX_QUBITS, VerificationOutcome
 from aqs.qstate import ShotHistogram
 
 
@@ -139,6 +144,37 @@ class TestRun:
         assert run_cli("run", "--qubits", "3", "--message", "0110") == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_register_above_ceiling_exits_2(self, capsys):
+        assert run_cli("run", "--qubits", "64", "--message", "0" * 64) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{MAX_QUBITS}-qubit ceiling" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--seed-keys", "-1"),
+        ("run", "--seed-lambda", "-1"),
+        ("report", "--seed-message", "-1"),
+        ("demo", "--seed-shots", "-1"),
+        ("attack", "--sweep", "pauli", "--seed", "-1"),
+    ], ids=lambda argv: argv[-2])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config error: aqs {argv[0]}: argument {argv[-2]}" in err
+        assert "non-negative" in err
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        # Only rejected input maps to exit 2; a ValueError from inside the
+        # program is a bug and keeps its traceback.
+        def broken(config, sample_histogram=True):
+            raise ValueError("internal invariant broken")
+
+        monkeypatch.setattr(cli, "run_protocol", broken)
+        with pytest.raises(ValueError, match="internal invariant broken"):
+            run_cli("run", "--message", "0110")
+
     def test_bad_choice_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("run", "--scheme", "rsa")
@@ -165,6 +201,13 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and reason in err
         assert "Traceback" not in err
+
+    def test_non_utf8_compare_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "h.csv"
+        path.write_bytes(b"basis_label,count\n\xff0110,5\n")
+        assert run_cli("run", "--message", "0110", "--compare", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not UTF-8 text" in err
 
     def test_expect_accept_failure_exits_1(self, monkeypatch, capsys):
         def fake_run(config, sample_histogram=True):
@@ -253,6 +296,28 @@ class TestAttack:
                        "--message", "0110") == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("--impersonate", "none", "--scheme", "qotp"), "--scheme"),
+        (("--sweep", "pauli", "--euler-mode", "general", "--class", "xy"),
+         "--euler-mode"),
+        (("--tamper", "tag-flip", "--trials", "7", "--class", "xy"),
+         "--class, --trials"),
+        (("--impersonate", "key", "--message", "0110"), "--message"),
+        (("--sweep", "pauli", "--tamper-channel", "signer-verifier"),
+         "--tamper-channel"),
+        (("--tamper", "tag-flip", "--seed", "3", "--verbose"), "--seed, --verbose"),
+    ], ids=["impersonate-scheme", "sweep-euler-mode", "tamper-trials-class",
+            "impersonate-message", "sweep-tamper-channel", "tamper-seed-verbose"])
+    def test_flag_the_mode_does_not_read_exits_2(self, capsys, argv, named):
+        assert run_cli("attack", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {argv[0]} does not read {named}\n"
+        assert captured.out == ""
+
+    def test_flag_left_at_its_default_is_accepted(self):
+        assert run_cli("attack", "--impersonate", "none", "--trials", "2",
+                       "--scheme", "cu", "--tamper-channel", "verifier-kgc") == 0
+
 
 class TestReport:
     def test_stdout_json(self, capsys):
@@ -282,6 +347,146 @@ class TestReport:
         data = json.loads(capsys.readouterr().out)
         names = set(data["gate_counts"]["counts"])
         assert names <= {"initialize", "z", "x", "measure"}
+
+
+def _flags_by_command() -> dict[str, set[str]]:
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {a.option_strings[-1] for a in p._actions
+               if a.option_strings and a.dest != "help"}
+        for name, p in sub.choices.items()
+    }
+
+
+REGISTER_FLAGS = {"--qubits", "--scheme", "--euler-mode", "--seed-keys",
+                  "--seed-lambda", "--wiring", "--message", "--seed-message"}
+FLAGS = {
+    "demo": {"--seed-shots", "--shots", "--reveal-secrets", "--out", "--compare"},
+    "run": REGISTER_FLAGS | {"--seed-shots", "--shots", "--reveal-secrets",
+                             "--out", "--compare", "--expect-accept"},
+    "report": REGISTER_FLAGS | {"--out", "--compare"},
+    "attack": REGISTER_FLAGS | {"--out", "--sweep", "--class", "--impersonate",
+                                "--tamper", "--tamper-channel", "--trials",
+                                "--seed", "--verbose"},
+}
+
+# Parsed at the parent of this change, read by nothing.
+REMOVED = [
+    ("attack", "--compare", "x.csv"), ("attack", "--expect-accept"),
+    ("attack", "--reveal-secrets"), ("attack", "--shots", "5"),
+    ("attack", "--seed-shots", "1"), ("report", "--shots", "5"),
+    ("report", "--seed-shots", "1"), ("report", "--expect-accept"),
+    ("report", "--reveal-secrets"),
+]
+
+
+class TestInputSurface:
+    def test_each_command_registers_the_flags_it_reads(self):
+        assert _flags_by_command() == FLAGS
+        assert sum(map(len, FLAGS.values())) == 46
+
+    @pytest.mark.parametrize("argv", REMOVED, ids=lambda a: f"{a[0]}{a[1]}")
+    def test_removed_flag_rejected(self, capsys, argv):
+        base = {"attack": ("--tamper", "tag-flip"), "report": ("--message", "0110")}
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv[0], *base[argv[0]], *argv[1:])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and f"unrecognized arguments: {argv[1]}" in err
+
+
+# Values for every flag; None marks a switch. Seeds go negative, registers
+# past the ceiling, so rejected input is drawn as often as valid input.
+SEEDS = st.integers(-3, 2 ** 40)
+VALUES = {
+    "--qubits": st.one_of(st.integers(-2, 6), st.sampled_from([26, 40, 64])),
+    "--scheme": st.sampled_from(["cu", "cnot", "qotp", "rsa"]),
+    "--euler-mode": st.sampled_from(["diagonal", "general"]),
+    "--seed-keys": SEEDS, "--seed-lambda": SEEDS, "--seed-message": SEEDS,
+    "--seed-shots": SEEDS, "--seed": SEEDS,
+    "--wiring": st.sampled_from(["relay", "direct"]),
+    "--message": st.text("01x", max_size=7),
+    "--shots": st.one_of(st.integers(-1, 3000), st.just(2 ** 63)),
+    "--trials": st.integers(-1, 5),
+    "--sweep": st.just("pauli"),
+    "--class": st.sampled_from(["diagonal", "xy", "random"]),
+    "--impersonate": st.sampled_from(["none", "key", "key-and-lambda"]),
+    "--tamper": st.sampled_from(["tag-flip", "message-x"]),
+    "--tamper-channel": st.sampled_from(["signer-verifier", "verifier-kgc"]),
+    "--out": st.just("out"),
+    "--compare": st.just("absent.csv"),
+    "--reveal-secrets": None, "--expect-accept": None, "--verbose": None,
+}
+ALL_FLAGS = sorted(VALUES)
+ATTACK_MODES = ["--sweep", "--impersonate", "--tamper"]
+
+
+def _exit_code(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one ``aqs`` call; argparse's exit counts."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInputProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_argv_gives_a_documented_exit(self, data):
+        command = data.draw(st.sampled_from(sorted(FLAGS)))
+        own = sorted(FLAGS[command])
+        flags = data.draw(st.lists(st.sampled_from(own), unique=True, max_size=6))
+        if command == "attack":
+            mode = data.draw(st.sampled_from(ATTACK_MODES))
+            # Keep sweeps and impersonation small: the default is 100 trials.
+            flags = [mode] + (["--trials"] if mode != "--tamper" else []) + [
+                f for f in flags if f != "--trials"]
+        if data.draw(st.integers(0, 9)) == 0:  # now and then a foreign flag
+            flags.append(data.draw(st.sampled_from(ALL_FLAGS)))
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command]
+            for flag in flags:
+                if VALUES[flag] is None:
+                    argv.append(flag)
+                    continue
+                value = str(data.draw(VALUES[flag]))
+                if flag in ("--out", "--compare"):
+                    value = str(Path(tmp) / value)
+                argv.append(f"{flag}={value}")
+            code, _, err = _exit_code(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 2:
+            assert "config error:" in err, (argv, err)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.one_of(
+        st.binary(max_size=64),
+        st.lists(
+            st.tuples(
+                st.one_of(st.text("01", min_size=4, max_size=4),
+                          st.text(max_size=5)),
+                st.one_of(st.integers(-3, 10 ** 20).map(str), st.text(max_size=4)),
+            ).map(",".join),
+            max_size=8,
+        ).map(lambda rows: "\n".join(["basis_label,count", *rows]).encode()),
+    ))
+    def test_any_compare_file_gives_0_or_2(self, tmp_path, body):
+        path = tmp_path / "h.csv"
+        path.write_bytes(body)
+        code, out, err = _exit_code(
+            ["run", "--message", "0110", "--compare", str(path)])
+        assert code in (0, 2), (body, code, err)
+        if code == 0:
+            (line,) = [ln for ln in out.splitlines() if ln.startswith("tv_distance=")]
+            assert 0.0 <= float(line.split("=")[1]) <= 1.0, body
+        else:
+            assert err.startswith("config error:"), (body, err)
 
 
 class TestEntryPoint:

@@ -24,6 +24,8 @@ from aqs.keys import chained_tag, tag_of_bits, xor_bits
 from aqs.protocol import (
     EXACT_ACCEPT_THRESHOLD,
     KGC,
+    MAX_QUBITS,
+    MAX_SHOTS,
     VERIFIER,
     ForwardedPackage,
     MessageSpec,
@@ -144,6 +146,20 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             plain_config(swap_shots=0)
 
+    def test_shots_fit_int64(self):
+        assert plain_config(shots=MAX_SHOTS).shots == 2 ** 63 - 1
+        with pytest.raises(ConfigError):
+            plain_config(shots=MAX_SHOTS + 1)
+
+    def test_size_ceiling(self):
+        # Rejected before anything is allocated: no state of this size exists.
+        RunConfig(n=MAX_QUBITS, message=MessageSpec.classical("0" * MAX_QUBITS))
+        over = MAX_QUBITS + 1
+        with pytest.raises(ConfigError, match="ceiling"):
+            RunConfig(n=over, message=MessageSpec.classical("0" * over))
+        with pytest.raises(ConfigError, match="ceiling"):
+            MessageSpec.random_product(over, np.random.default_rng(0))
+
     def test_string_enums_coerced(self):
         cfg = plain_config(scheme="qotp", wiring="direct", verify_mode="sampled",
                            euler_mode="diagonal")
@@ -173,7 +189,7 @@ class TestSetup:
         session = honest_session(demo_config())
         st = session._signers[1]
         assert st.key_bits == "1010"
-        assert st.perm == (1, 3, 0, 2)
+        assert st.ctx.perm == (1, 3, 0, 2)
 
     def test_deterministic_across_sessions(self):
         a = honest_session(plain_config())
@@ -197,8 +213,8 @@ class TestSetup:
 
     def test_qotp_gets_pad_key(self):
         session = honest_session(plain_config(scheme=Scheme.QOTP))
-        assert len(session._signers[1].qotp_key) == 8
-        assert session.ledger.lookup("signer_1", "pad-key") == session._signers[1].qotp_key
+        assert len(session._signers[1].ctx.qotp_key) == 8
+        assert session.ledger.lookup("signer_1", "pad-key") == session._signers[1].ctx.qotp_key
 
     def test_unknown_signer(self):
         session = honest_session(plain_config())
@@ -246,9 +262,9 @@ class TestLambdaRegistration:
         session.setup()
         session.register_lambda(1)
         st = session._signers[1]
-        assert len(st.thetas) == 4 and len(st.phis) == 4
-        assert all(0.0 <= t <= math.pi for t in st.thetas)
-        assert all(0.0 <= p <= 2 * math.pi for p in st.phis)
+        assert len(st.ctx.thetas) == 4 and len(st.ctx.phis) == 4
+        assert all(0.0 <= t <= math.pi for t in st.ctx.thetas)
+        assert all(0.0 <= p <= 2 * math.pi for p in st.ctx.phis)
 
     def test_missing_lambda_blocks_signing(self):
         session = ProtocolSession(plain_config())

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +131,27 @@ class TestCompareHistograms:
         assert compare_histograms(
             basis_state(2, 0), basis_state(2, 3)
         ) == pytest.approx(1.0)
+
+    def test_independent_of_hash_seed(self):
+        # The label set iterates in an order set by the string hash seed; a
+        # plain sum in that order gives 1.0 under seed 0 and
+        # 1.0000000000000002 under seeds 5 and 10.
+        code = (
+            "from aqs.qstate import ShotHistogram, basis_state\n"
+            "from aqs.reports import compare_histograms\n"
+            "h = ShotHistogram(3, 388, {'001': 77, '010': 85, '011': 226})\n"
+            "print(repr(compare_histograms(h, basis_state(3, 0))))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": src,
+                                 "PYTHONHASHSEED": str(seed)},
+            ).stdout
+            for seed in (0, 5, 10)
+        }
+        assert outputs == {"1.0\n"}
 
     def test_histogram_vs_exact_distribution(self):
         cfg = DEMO_CONFIG

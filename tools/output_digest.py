@@ -1,4 +1,4 @@
-"""One SHA-256 digest over the outputs of a fixed set of protocol runs and attacks.
+"""SHA-256 digests over the outputs of fixed protocol runs, attacks and CLI calls.
 
 Run it on two checkouts to check that a change leaves every output
 byte-identical: equal digests mean equal outputs. It imports ``aqs`` from the
@@ -6,7 +6,8 @@ byte-identical: equal digests mean equal outputs. It imports ``aqs`` from the
 
     python tools/output_digest.py
 
-Two groups of outputs are hashed, each chunk behind its 8-byte length:
+It prints two digests, each chunk hashed behind its 8-byte length. The first
+covers two groups of library outputs:
 
 * every :func:`aqs.run_protocol` run over four scheme rows, both wirings,
   both verify modes, four tamper cases, a classical and a product message,
@@ -16,21 +17,28 @@ Two groups of outputs are hashed, each chunk behind its 8-byte length:
 * ``forgery_sweep(n=3, trials=20, seed=11, collect_details=True)`` and
   ``impersonation_attempt(4, 300, 5)`` at every knowledge level, as verbose
   report JSON.
+
+The second covers the command line: the exit code, the stdout and every file
+written under ``--out`` for each call in :data:`CLI_CALLS`, which span all four
+subcommands and all three attack modes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from aqs import attacks, reports  # noqa: E402
+from aqs import attacks, cli, reports  # noqa: E402
 from aqs.cipher import EulerMode, Scheme  # noqa: E402
 from aqs.protocol import MessageSpec, RunConfig, TamperSpec, run_protocol  # noqa: E402
 
@@ -97,12 +105,68 @@ def attack_outputs():
         yield attacks.reports_to_json([report], verbose=True).encode()
 
 
-def main() -> None:
+# ``{out}`` is a fresh output directory per call, ``{csv}`` holds COMPARE_CSV.
+# --compare runs only on a basis-state message, whose exact distribution and
+# the CSV's dyadic frequencies make every TV term exact: earlier versions summed
+# the terms in an order that varied between processes.
+CLI_CALLS = (
+    ("demo", "--out", "{out}"),
+    ("demo", "--seed-shots", "3", "--shots", "512", "--reveal-secrets",
+     "--out", "{out}"),
+    ("run", "--qubits", "5", "--euler-mode", "general", "--message", "01101",
+     "--wiring", "direct", "--seed-keys", "2", "--seed-lambda", "3",
+     "--seed-shots", "4", "--shots", "300", "--reveal-secrets", "--expect-accept",
+     "--out", "{out}"),
+    ("run", "--scheme", "qotp", "--seed-message", "5", "--out", "{out}"),
+    ("run", "--scheme", "cnot", "--message", "0110", "--compare", "{csv}",
+     "--out", "{out}"),
+    ("report", "--qubits", "5", "--euler-mode", "general", "--message", "10110",
+     "--out", "{out}"),
+    ("report", "--scheme", "cnot", "--message", "0110", "--compare", "{csv}",
+     "--out", "{out}"),
+    ("attack", "--sweep", "pauli", "--qubits", "3", "--trials", "5", "--seed", "2",
+     "--verbose", "--out", "{out}"),
+    ("attack", "--sweep", "pauli", "--qubits", "3", "--trials", "5",
+     "--scheme", "qotp", "--class", "xy", "--out", "{out}"),
+    ("attack", "--impersonate", "key", "--trials", "20", "--seed", "1",
+     "--verbose", "--out", "{out}"),
+    ("attack", "--impersonate", "none", "--qubits", "6", "--trials", "50",
+     "--out", "{out}"),
+    ("attack", "--tamper", "tag-flip", "--out", "{out}"),
+    ("attack", "--tamper", "message-x", "--tamper-channel", "signer-verifier",
+     "--message", "0110", "--euler-mode", "general", "--seed-keys", "9",
+     "--out", "{out}"),
+)
+COMPARE_CSV = "basis_label,count\n0110,700\n1001,300\n1111,24\n"
+
+
+def cli_outputs():
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "compare.csv"
+        csv.write_text(COMPARE_CSV)
+        for i, call in enumerate(CLI_CALLS):
+            out_dir = Path(tmp) / f"out{i}"
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([a.format(out=out_dir, csv=csv) for a in call])
+            yield f"{code}\n{stdout.getvalue()}".encode()
+            for path in sorted(out_dir.iterdir()):
+                yield path.name.encode()
+                yield path.read_bytes()
+
+
+def digest_of(chunks) -> str:
     digest = hashlib.sha256()
-    for chunk in itertools.chain(protocol_outputs(), attack_outputs()):
+    for chunk in chunks:
         digest.update(len(chunk).to_bytes(8, "little"))
         digest.update(chunk)
-    print(digest.hexdigest())
+    return digest.hexdigest()
+
+
+def main() -> None:
+    print(digest_of(itertools.chain(protocol_outputs(), attack_outputs())),
+          "runs and attacks")
+    print(digest_of(cli_outputs()), "cli")
 
 
 if __name__ == "__main__":
