@@ -54,18 +54,22 @@ def random_pauli_string(n: int, rng: np.random.Generator,
     ``diagonal`` draws from {I,Z}^n minus the identity, ``xy`` conditions on
     at least one X or Y, ``random`` is uniform over all 4^n strings.
     """
+    def draw(letters: str) -> str:
+        # The same draws as rng.choice(list(letters), size=n).
+        return "".join([letters[i] for i in rng.integers(0, len(letters), size=n)])
+
     if sigma_class == "diagonal":
         while True:
-            s = "".join(rng.choice(["I", "Z"], size=n))
+            s = draw("IZ")
             if "Z" in s:
                 return s
     if sigma_class == "xy":
         while True:
-            s = "".join(rng.choice(list(PAULI_LETTERS), size=n))
+            s = draw(PAULI_LETTERS)
             if "X" in s or "Y" in s:
                 return s
     if sigma_class == "random":
-        return "".join(rng.choice(list(PAULI_LETTERS), size=n))
+        return draw(PAULI_LETTERS)
     raise ConfigError(f"unknown sigma class {sigma_class!r}; expected {SIGMA_CLASSES}")
 
 

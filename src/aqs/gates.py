@@ -63,11 +63,24 @@ def pauli(name: str) -> np.ndarray:
 
 
 def is_unitary(gate: np.ndarray, atol: float = UNITARITY_ATOL) -> bool:
-    """True when gate @ gate^dagger is the identity within ``atol``."""
+    """True when gate @ gate^dagger is the identity within ``atol``.
+
+    The test is ``np.allclose(gate @ gate^dagger, I, atol=atol)``, worked
+    out on the four entries in Python arithmetic: numpy's default
+    ``rtol=1e-5`` widens the diagonal bound to ``atol + 1e-5``. NaN and inf
+    entries fail it, as they fail ``np.allclose``.
+    """
     gate = np.asarray(gate)
     if gate.shape != (2, 2):
         return False
-    return bool(np.allclose(gate @ gate.conj().T, np.eye(2), atol=atol))
+    (a, b), (c, d) = gate.astype(np.complex128, copy=False).tolist()
+    # The (1, 0) entry is the conjugate of the (0, 1) entry, so one check covers both.
+    off = a * c.conjugate() + b * d.conjugate()
+    top = a * a.conjugate() + b * b.conjugate()
+    bottom = c * c.conjugate() + d * d.conjugate()
+    diag_tol = atol + 1e-5
+    return (abs(off) <= atol and abs(top - 1.0) <= diag_tol
+            and abs(bottom - 1.0) <= diag_tol)
 
 
 def adjoint(gate: np.ndarray, atol: float = UNITARITY_ATOL) -> np.ndarray:

@@ -27,8 +27,13 @@ LAMBDA_MAX = math.pi
 CHANNEL_KINDS = ("qkd", "quantum-auth")
 
 
+# Deletes '0' and '1', so a bit string translates to "".
+_NOT_BITS = str.maketrans("", "", "01")
+
+
 def _check_bits(bits: str, name: str = "bits") -> str:
-    if not bits or any(ch not in "01" for ch in bits):
+    # Runs before any int(bits, 2), which also accepts "0_1" and " 01".
+    if not bits or bits.translate(_NOT_BITS):
         raise ConfigError(f"{name} must be a nonempty string of 0s and 1s, got {bits!r}")
     return bits
 
@@ -37,7 +42,8 @@ def random_bits(length: int, rng: np.random.Generator) -> str:
     """Uniform bit string of the given length."""
     if length < 1:
         raise ConfigError(f"length must be positive, got {length}")
-    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=length))
+    draw = rng.integers(0, 2, size=length)
+    return (draw.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
 def xor_bits(a: str, b: str) -> str:
@@ -48,7 +54,7 @@ def xor_bits(a: str, b: str) -> str:
         raise LengthMismatchError(
             f"xor needs equal lengths, got {len(a)} and {len(b)}"
         )
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b")
 
 
 def derive_permutation(bits: str) -> tuple[int, ...]:
@@ -66,8 +72,7 @@ def pack_bits(bits: str) -> bytes:
     """Canonical byte packing: 8-byte big-endian bit count, then MSB-first bits."""
     _check_bits(bits)
     length = len(bits)
-    padded = bits + "0" * (-length % 8)
-    body = bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
+    body = (int(bits, 2) << (-length % 8)).to_bytes((length + 7) // 8, "big")
     return length.to_bytes(8, "big") + body
 
 
@@ -76,8 +81,7 @@ def hash_tag(data: bytes, n: int) -> str:
     if n < 1:
         raise ConfigError(f"tag length must be positive, got {n}")
     digest = hashlib.shake_256(data).digest((n + 7) // 8)
-    stream = "".join(format(byte, "08b") for byte in digest)
-    return stream[:n]
+    return format(int.from_bytes(digest, "big") >> (-n % 8), f"0{n}b")
 
 
 def tag_of_bits(bits: str, out_bits: int | None = None) -> str:

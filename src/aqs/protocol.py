@@ -384,9 +384,16 @@ _SECRET_KEYS = ("bits", "lambdas", "thetas", "phis")
 
 def _fingerprint(state: StateVector) -> str:
     """First 16 hex digits of SHA-256 over the amplitudes as little-endian
-    float64 (re, im) pairs; ``+ 0.0`` turns -0.0 into 0.0 before hashing."""
-    pairs = (state.amps.view(np.float64) + 0.0).astype("<f8", copy=False)
-    return hashlib.sha256(pairs.tobytes()).hexdigest()[:16]
+    float64 (re, im) pairs; ``+ 0.0`` turns -0.0 into 0.0 before hashing.
+
+    States are immutable, so the value is kept on the state after the first call.
+    """
+    cache = vars(state)
+    fp = cache.get("_fingerprint")
+    if fp is None:
+        pairs = (state.amps.view(np.float64) + 0.0).astype("<f8", copy=False)
+        fp = cache["_fingerprint"] = hashlib.sha256(pairs).hexdigest()[:16]
+    return fp
 
 
 class Transcript:
@@ -471,7 +478,8 @@ class ProtocolSession:
         self.ledger = keys.DeliveryLedger()
         self._rng_keys = np.random.default_rng(config.seed_keys)
         self._rng_lambda = np.random.default_rng(config.seed_lambda)
-        self._rng_shots = np.random.default_rng(config.seed_shots)
+        # Built on first use: most sessions never sample.
+        self._rng_shots: np.random.Generator | None = None
         self._signers: dict[int, _SignerState] = {}
         self._verifier_key: str | None = None
         self._proofs: dict[int, SignatureProof] = {}
@@ -669,7 +677,7 @@ class ProtocolSession:
         ov = qstate.overlap_sq(recovered, message)
         if cfg.verify_mode is VerifyMode.SAMPLED:
             accepted, ones = qstate.swap_test_sampled(
-                recovered, message, cfg.swap_shots, self._rng_shots
+                recovered, message, cfg.swap_shots, self.shots_rng
             )
         else:
             accepted, ones = ov >= EXACT_ACCEPT_THRESHOLD, None
@@ -708,6 +716,9 @@ class ProtocolSession:
 
     @property
     def shots_rng(self) -> np.random.Generator:
+        """The generator behind the sampled swap test and the shot histogram."""
+        if self._rng_shots is None:
+            self._rng_shots = np.random.default_rng(self.config.seed_shots)
         return self._rng_shots
 
 

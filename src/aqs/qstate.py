@@ -4,11 +4,15 @@ A register of n qubits is a vector of 2**n complex128 amplitudes. Qubit 0 is
 the most significant bit of the basis label: for n=4 the label ``0110`` means
 qubit0=0, qubit1=1, qubit2=1, qubit3=0, and indexes amplitude 6.
 
-``StateVector`` is immutable; every gate application returns a new instance.
-Gates are data: an :data:`Op` names a gate, its qubits and its 2x2 matrix,
-and :func:`apply_ops` runs a whole list of them on one private working copy
-through the kernels (see :mod:`aqs.kernels`), building one new state at the
-end.
+``StateVector`` is immutable, over a read-only amplitude array; every gate
+application returns a new instance. The public constructor copies the array it
+is given. The builders in this module (:func:`basis_state`,
+:func:`init_product_state`, :func:`apply_ops`) make a fresh buffer and hand it
+to the new state without a second copy; shape and norm are checked either way.
+Gates are data: an :data:`Op` names a gate, its qubits and its 2x2 matrix, and
+:func:`apply_ops` runs a whole list of them on one private working copy
+through the kernels (see :mod:`aqs.kernels`); that copy becomes the new
+state's amplitudes.
 """
 
 from __future__ import annotations
@@ -54,9 +58,25 @@ def _mask(n: int, qubit: int) -> int:
     return 1 << (n - 1 - qubit)
 
 
+class _HandedOver:
+    """A complex128 buffer given to :class:`StateVector` by the builder that
+    made it, which holds no other reference and never writes it again."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """Immutable n-qubit pure state with a defensively copied amplitude array."""
+    """Immutable n-qubit pure state over a read-only amplitude array.
+
+    ``StateVector(n, amps)`` copies ``amps``, so the caller's array stays its
+    own. The builders in this module pass their fresh buffer as a
+    :class:`_HandedOver`, which the state keeps without copying. Shape and
+    norm are checked on both paths.
+    """
 
     n: int
     amps: np.ndarray = field(repr=False)
@@ -64,7 +84,10 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise EmptyMessageError("a state needs at least one qubit")
-        amps = np.array(self.amps, dtype=np.complex128)
+        if isinstance(self.amps, _HandedOver):
+            amps = self.amps.array
+        else:
+            amps = np.array(self.amps, dtype=np.complex128)
         if amps.shape != (2 ** self.n,):
             raise DimensionMismatchError(
                 f"expected {2 ** self.n} amplitudes for n={self.n}, "
@@ -95,7 +118,7 @@ def basis_state(n: int, label: int | str) -> StateVector:
         raise ConfigError(f"basis index {index} out of range for n={n}")
     amps = np.zeros(2 ** n, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(n, amps)
+    return StateVector(n, _HandedOver(amps))
 
 
 def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> StateVector:
@@ -110,12 +133,14 @@ def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> State
             raise NonNormalizedQubitError(
                 f"qubit {i} amplitudes have norm {norm}, expected 1"
             )
-        amps = np.kron(amps, pair)
-    return StateVector(len(qubit_states), amps)
+        # The same products as np.kron(amps, pair), without its reshaping.
+        amps = np.multiply.outer(amps, pair).ravel()
+    return StateVector(len(qubit_states), _HandedOver(amps))
 
 
 def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
-    """Apply a list of gates in order on one working copy; returns a new state."""
+    """Apply a list of gates in order on one working copy; returns a new state
+    that keeps that copy as its buffer."""
     n = state.n
     amps = state.working_copy()
     for _, qubits, gate in ops:
@@ -134,7 +159,7 @@ def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
         kernels.apply_controlled_inplace(
             amps, _mask(n, control), _mask(n, target), gate
         )
-    return StateVector(n, amps)
+    return StateVector(n, _HandedOver(amps))
 
 
 def apply_single(state: StateVector, qubit: int, gate: np.ndarray) -> StateVector:
@@ -211,12 +236,14 @@ class ShotHistogram:
                 raise ConfigError(f"row {row!r}: basis label {label!r} is not a bit string")
             if label in counts:
                 raise ConfigError(f"basis label {label!r} appears twice")
-            try:
-                counts[label] = int(value)
-            except ValueError:
+            # int() alone would also take "1_000", " 5" and non-ASCII digits.
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
                 raise ConfigError(
-                    f"row {row!r}: count {value!r} is not an integer"
-                ) from None
+                    f"row {row!r}: count {value!r} is not an integer "
+                    "in ASCII decimal digits"
+                )
+            counts[label] = int(value)
             if counts[label] < 0:
                 raise ConfigError(f"basis label {label!r} has a negative count")
         if not counts:

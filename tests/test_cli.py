@@ -202,6 +202,16 @@ class TestRun:
         assert err.startswith("config error:") and reason in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("count", ["1_000", " 5", "٣"],
+                             ids=["underscore", "leading-space", "arabic-indic-digit"])
+    def test_count_not_in_ascii_digits_exits_2(self, tmp_path, capsys, count):
+        path = tmp_path / "h.csv"
+        path.write_text(f"basis_label,count\n0110,{count}\n1001,3\n", encoding="utf-8")
+        assert run_cli("run", "--message", "0110", "--compare", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"count {count!r} is not an integer in ASCII decimal digits" in err
+
     def test_non_utf8_compare_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "h.csv"
         path.write_bytes(b"basis_label,count\n\xff0110,5\n")

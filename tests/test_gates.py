@@ -88,3 +88,47 @@ class TestIsUnitary:
 
     def test_rejects_wrong_shape(self):
         assert not gates.is_unitary(np.eye(3))
+
+
+def allclose_is_unitary(gate, atol: float = gates.UNITARITY_ATOL) -> bool:
+    """The numpy form of the check: np.allclose(G @ G^dagger, I, atol=atol)."""
+    gate = np.asarray(gate)
+    if gate.shape != (2, 2):
+        return False
+    with np.errstate(all="ignore"):
+        return bool(np.allclose(gate @ gate.conj().T, np.eye(2), atol=atol))
+
+
+class TestIsUnitaryMatchesAllclose:
+    @given(angles=st.tuples(*[st.floats(-10.0, 10.0)] * 3))
+    def test_rotations(self, angles):
+        g = gates.u_gate(*angles)
+        assert gates.is_unitary(g) == allclose_is_unitary(g) is True
+
+    @pytest.mark.parametrize("scale, inside", [(0.99, True), (1.01, False)])
+    def test_off_diagonal_bound_is_atol(self, scale, inside):
+        g = np.eye(2, dtype=np.complex128)
+        g[0, 1] = scale * gates.UNITARITY_ATOL
+        assert allclose_is_unitary(g) is inside
+        assert gates.is_unitary(g) is inside
+
+    @pytest.mark.parametrize("scale, inside", [(0.99, True), (1.01, False)])
+    def test_diagonal_bound_adds_default_rtol(self, scale, inside):
+        # (G G^dagger)[0, 0] = 1 + delta with delta around atol + 1e-5.
+        delta = scale * (gates.UNITARITY_ATOL + 1e-5)
+        g = np.diag([math.sqrt(1.0 + delta), 1.0]).astype(np.complex128)
+        assert allclose_is_unitary(g) is inside
+        assert gates.is_unitary(g) is inside
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0, math.nan), complex(math.inf, 1)])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_entries(self, bad, at):
+        g = np.eye(2, dtype=np.complex128)
+        g[at] = bad
+        assert gates.is_unitary(g) is allclose_is_unitary(g) is False
+
+    @pytest.mark.parametrize("gate", [np.eye(3), np.ones(4), np.array([1.0, 0.0]),
+                                      np.eye(2)[None]], ids=["3x3", "1d-4", "1d-2", "1x2x2"])
+    def test_wrong_shapes(self, gate):
+        assert gates.is_unitary(gate) is allclose_is_unitary(gate) is False

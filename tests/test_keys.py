@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqs import keys
 from aqs.errors import (
+    ConfigError,
     DuplicateDeliveryError,
     InvalidChannelError,
     LengthMismatchError,
@@ -78,6 +80,66 @@ class TestBitStrings:
     def test_xor_rejects_junk(self):
         with pytest.raises(ValueError):
             xor_bits("1a1", "101")
+
+
+# The string-loop definitions the int-based ones replaced, kept as the reference.
+
+def loop_check_bits(bits: str) -> None:
+    if not bits or any(ch not in "01" for ch in bits):
+        raise ValueError(bits)
+
+
+def loop_random_bits(length: int, rng: np.random.Generator) -> str:
+    return "".join("1" if b else "0" for b in rng.integers(0, 2, size=length))
+
+
+def loop_xor_bits(a: str, b: str) -> str:
+    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def loop_pack_bits(bits: str) -> bytes:
+    padded = bits + "0" * (-len(bits) % 8)
+    body = bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
+    return len(bits).to_bytes(8, "big") + body
+
+
+def loop_tag_of_bits(bits: str, out_bits: int | None = None) -> str:
+    n = len(bits) if out_bits is None else out_bits
+    digest = hashlib.shake_256(loop_pack_bits(bits)).digest((n + 7) // 8)
+    return "".join(format(byte, "08b") for byte in digest)[:n]
+
+
+bit_strings = st.text(alphabet="01", min_size=1, max_size=80)
+
+
+class TestMatchesStringLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(bits=bit_strings, other_seed=st.integers(0, 2 ** 32 - 1))
+    def test_packing_tags_and_xor(self, bits, other_seed):
+        for out_bits in (None, 1, 7, 8, 9, 3 * len(bits) + 1):
+            assert tag_of_bits(bits, out_bits) == loop_tag_of_bits(bits, out_bits)
+        assert pack_bits(bits) == loop_pack_bits(bits)
+        other = loop_random_bits(len(bits), np.random.default_rng(other_seed))
+        assert xor_bits(bits, other) == loop_xor_bits(bits, other)
+
+    @settings(max_examples=100, deadline=None)
+    @given(length=st.integers(1, 80), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_bits_takes_the_same_draw(self, length, seed):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_bits(length, rng) == loop_random_bits(length, loop_rng)
+        assert rng.random() == loop_rng.random()
+
+    # "0_1", " 01" and "٠١" are all valid input to int(x, 2).
+    @pytest.mark.parametrize("bad", ["", "0_1", " 01", "01 ", "٠١", "012"])
+    def test_rejects_what_the_loop_rejects(self, bad):
+        with pytest.raises(ValueError):
+            loop_check_bits(bad)
+        for call in (lambda: pack_bits(bad), lambda: tag_of_bits(bad),
+                     lambda: derive_permutation(bad),
+                     lambda: xor_bits(bad, "0" * len(bad)),
+                     lambda: xor_bits("0" * len(bad), bad)):
+            with pytest.raises(ConfigError):
+                call()
 
 
 class TestPermutation:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqs import gates
 from aqs.errors import (
@@ -15,9 +16,11 @@ from aqs.errors import (
     ZeroShotsError,
 )
 from aqs.qstate import (
+    NORM_ATOL,
     ShotHistogram,
     StateVector,
     apply_controlled,
+    apply_ops,
     apply_single,
     basis_state,
     distribution,
@@ -147,6 +150,46 @@ class TestGateApplication:
             else:
                 s = apply_single(s, q, g)
         assert float(np.linalg.norm(s.amps)) == pytest.approx(1.0, abs=1e-9)
+
+
+angles = st.floats(0.0, 2 * math.pi)
+gate_matrices = st.one_of(
+    st.builds(gates.u_gate, angles, angles, angles),
+    st.sampled_from("IXYZ").map(gates.pauli),
+)
+
+
+@st.composite
+def op_lists(draw):
+    """A register size n <= 5, a state on it, and single and controlled ops."""
+    n = draw(st.integers(1, 5))
+    state = make_state(n, draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        gate = draw(gate_matrices)
+        if n > 1 and draw(st.booleans()):
+            control, target = draw(st.permutations(range(n)))[:2]
+            ops.append(("controlled", (control, target), gate))
+        else:
+            ops.append(("single", (draw(st.integers(0, n - 1)),), gate))
+    return state, ops
+
+
+class TestNormsSurviveOpLists:
+    @settings(max_examples=150, deadline=None)
+    @given(case=op_lists())
+    def test_any_op_list(self, case):
+        state, ops = case
+        before = state.amps.tobytes()
+        result = apply_ops(state, ops)
+        assert not result.amps.flags.writeable
+        assert abs(float(np.linalg.norm(result.amps)) - 1.0) <= NORM_ATOL
+        assert state.amps.tobytes() == before
+        assert not np.shares_memory(result.amps, state.amps)
+        # The result takes the working copy over without copying it again,
+        # and still checks the norm.
+        with pytest.raises(NonNormalizedQubitError):
+            apply_ops(state, ops + [("single", (0,), 2 * gates.identity_gate())])
 
 
 class TestOverlap:

@@ -6,7 +6,7 @@ byte-identical: equal digests mean equal outputs. It imports ``aqs`` from the
 
     python tools/output_digest.py
 
-It prints two digests, each chunk hashed behind its 8-byte length. The first
+It prints three digests, each chunk hashed behind its 8-byte length. The first
 covers two groups of library outputs:
 
 * every :func:`aqs.run_protocol` run over four scheme rows, both wirings,
@@ -21,6 +21,12 @@ covers two groups of library outputs:
 The second covers the command line: the exit code, the stdout and every file
 written under ``--out`` for each call in :data:`CLI_CALLS`, which span all four
 subcommands and all three attack modes.
+
+The third covers the key layer and state fingerprints on fixed inputs:
+``tag_of_bits`` at several output lengths, ``pack_bits``, ``xor_bits``, seeded
+``random_bits`` and ``derive_permutation`` over bit strings of length 1 to 70,
+and the transcript fingerprint of states with -0.0 entries, each taken twice so
+that a value kept from the first call is hashed too.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from aqs import attacks, cli, reports  # noqa: E402
+from aqs import attacks, cli, keys, protocol, reports  # noqa: E402
 from aqs.cipher import EulerMode, Scheme  # noqa: E402
 from aqs.protocol import MessageSpec, RunConfig, TamperSpec, run_protocol  # noqa: E402
+from aqs.qstate import StateVector, basis_state  # noqa: E402
 
 SCHEME_ROWS = (
     (Scheme.CHAINED_CU, EulerMode.DIAGONAL),
@@ -155,6 +162,32 @@ def cli_outputs():
                 yield path.read_bytes()
 
 
+KEY_LENGTHS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 64, 70)
+
+
+def key_outputs():
+    rng = np.random.default_rng(20)
+    for length in KEY_LENGTHS:
+        bits = keys.random_bits(length, rng)
+        other = keys.random_bits(length, rng)
+        yield f"{bits} {other}".encode()
+        yield keys.pack_bits(bits)
+        yield keys.xor_bits(bits, other).encode()
+        yield json.dumps(keys.derive_permutation(bits)).encode()
+        for out_bits in (None, 1, 5, 8, 9, 3 * length + 1):
+            yield keys.tag_of_bits(bits, out_bits).encode()
+    half = 2 ** -0.5
+    states = (
+        basis_state(3, 5),
+        StateVector(2, np.array([-0.0, complex(half, -0.0), complex(-0.0, -half), 0.0])),
+        StateVector(1, np.array([complex(-0.0, 1.0), complex(0.0, -0.0)])),
+        MessageSpec.random_product(4, np.random.default_rng(3)).prepare(),
+    )
+    for state in states:
+        for _ in range(2):
+            yield protocol._fingerprint(state).encode()
+
+
 def digest_of(chunks) -> str:
     digest = hashlib.sha256()
     for chunk in chunks:
@@ -167,6 +200,7 @@ def main() -> None:
     print(digest_of(itertools.chain(protocol_outputs(), attack_outputs())),
           "runs and attacks")
     print(digest_of(cli_outputs()), "cli")
+    print(digest_of(key_outputs()), "keys and fingerprints")
 
 
 if __name__ == "__main__":
