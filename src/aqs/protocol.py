@@ -21,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -63,6 +63,8 @@ class Role(str, Enum):
 class PartyId:
     role: Role
     index: int | None = None
+    # Derived from role and index once, at construction.
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         role = Role(self.role)
@@ -70,14 +72,12 @@ class PartyId:
         if role is Role.SIGNER:
             if self.index is None or self.index < 1:
                 raise ConfigError("signer parties need a positive index")
+            label = f"signer_{self.index}"
         elif self.index is not None:
             raise ConfigError(f"{role.value} takes no index")
-
-    @property
-    def label(self) -> str:
-        if self.role is Role.SIGNER:
-            return f"signer_{self.index}"
-        return self.role.value
+        else:
+            label = role.value
+        object.__setattr__(self, "label", label)
 
 
 KGC = PartyId(Role.KGC)

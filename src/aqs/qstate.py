@@ -265,8 +265,10 @@ def sample(state: StateVector, shots: int, rng: np.random.Generator) -> ShotHist
     draw = rng.multinomial(shots, probs)
     width = state.n
     # Only drawn outcomes get a label: at most ``shots`` of the 2**n entries.
+    drawn = np.flatnonzero(draw)
     counts = {
-        format(int(i), f"0{width}b"): int(draw[i]) for i in np.flatnonzero(draw)
+        format(i, f"0{width}b"): count
+        for i, count in zip(drawn.tolist(), draw[drawn].tolist())
     }
     return ShotHistogram(n=state.n, shots=shots, counts=counts)
 

@@ -1,9 +1,18 @@
 """The numpy kernels against full-matrix oracles."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from aqs import kernels
-from aqs.gates import u_gate
+from aqs.gates import (
+    adjoint,
+    identity_gate,
+    pauli_x,
+    pauli_y,
+    pauli_z,
+    u_gate,
+)
 
 from oracles import controlled_matrix, random_state, single_matrix
 
@@ -83,3 +92,201 @@ class TestAgainstOracle:
 class TestBackendSelection:
     def test_active_backend_reports_known_name(self):
         assert kernels.active_backend() == "numpy"
+
+
+# The kernels' full 2x2 update before diagonal and anti-diagonal gates got
+# their own paths, kept as the reference those paths must reproduce.
+
+def full_update_single(amps, mask, gate):
+    u00, u01 = complex(gate[0, 0]), complex(gate[0, 1])
+    u10, u11 = complex(gate[1, 0]), complex(gate[1, 1])
+    dim = amps.shape[0]
+    view = amps.reshape(dim // (2 * mask), 2, mask)
+    a0 = view[:, 0, :].copy()
+    a1 = view[:, 1, :]
+    view[:, 0, :] = u00 * a0 + u01 * a1
+    view[:, 1, :] = u10 * a0 + u11 * a1
+
+
+def full_update_controlled(amps, cmask, tmask, gate):
+    u00, u01 = complex(gate[0, 0]), complex(gate[0, 1])
+    u10, u11 = complex(gate[1, 0]), complex(gate[1, 1])
+    dim = amps.shape[0]
+    high, low = max(cmask, tmask), min(cmask, tmask)
+    view = amps.reshape(dim // (2 * high), 2, high // (2 * low), 2, low)
+    if cmask == high:
+        on = view[:, 1]
+        t0, t1 = on[:, :, 0], on[:, :, 1]
+    else:
+        on = view[:, :, :, 1]
+        t0, t1 = on[:, 0], on[:, 1]
+    a0 = t0.copy()
+    t0[...] = u00 * a0 + u01 * t1
+    t1[...] = u10 * a0 + u11 * t1
+
+
+def _phase(angle):
+    return complex(np.exp(1j * angle))
+
+
+def structured_gates(a=0.8, b=2.3):
+    """Named gates of every path; ``a`` and ``b`` are angles."""
+    diag = u_gate(0.0, 0.0, a)
+    return {
+        "u(0,0,lam)": diag,
+        "u(0,0,lam)^dag": adjoint(diag),
+        "I": identity_gate(),
+        "X": pauli_x(),
+        "Y": pauli_y(),
+        "Z": pauli_z(),
+        "diag-no-unit": np.diag([_phase(a), _phase(b)]),
+        "anti-no-unit": np.array([[0, _phase(a)], [_phase(b), 0]]),
+        "general": u_gate(1.3, a, b),
+    }
+
+
+GATE_NAMES = tuple(structured_gates())
+
+
+def _pairs(n):
+    return [(c, t) for c in range(n) for t in range(n) if c != t]
+
+
+def _same_bytes_up_to_zero_signs(got, want):
+    """Equal bytes once -0.0 is folded to 0.0, and equal bytes outright
+    wherever ``want`` has no exactly-zero part."""
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+    nonzero = want.view(np.float64) != 0
+    assert got.view(np.float64)[nonzero].tobytes() == want.view(np.float64)[nonzero].tobytes()
+
+
+class TestStructuredGatesAgainstOracle:
+    @pytest.mark.parametrize("name", GATE_NAMES)
+    def test_single_every_position(self, name):
+        gate = structured_gates()[name]
+        rng = np.random.default_rng(3)
+        for n in range(1, 6):
+            for q in range(n):
+                full = single_matrix(n, q, gate)
+                states = [np.eye(2 ** n, dtype=np.complex128)[b] for b in range(2 ** n)]
+                states.append(random_state(n, rng))
+                for state in states:
+                    amps = state.copy()
+                    kernels.apply_single_inplace(amps, _mask(n, q), gate)
+                    np.testing.assert_allclose(amps, full @ state, atol=1e-12)
+
+    @pytest.mark.parametrize("name", GATE_NAMES)
+    def test_controlled_every_position(self, name):
+        gate = structured_gates()[name]
+        rng = np.random.default_rng(4)
+        for n in range(2, 6):
+            for c, t in _pairs(n):
+                full = controlled_matrix(n, c, t, gate)
+                states = [random_state(n, rng), random_state(n, rng)]
+                if n <= 3:
+                    states += [np.eye(2 ** n, dtype=np.complex128)[b]
+                               for b in range(2 ** n)]
+                for state in states:
+                    amps = state.copy()
+                    kernels.apply_controlled_inplace(
+                        amps, _mask(n, c), _mask(n, t), gate
+                    )
+                    np.testing.assert_allclose(amps, full @ state, atol=1e-12)
+
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False)
+
+
+class TestMatchesFullUpdate:
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), name=st.sampled_from(GATE_NAMES), a=angles,
+           b=angles, seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_same_bytes_on_random_states(self, n, name, a, b, seed, data):
+        gate = structured_gates(a, b)[name]
+        rng = np.random.default_rng(seed)
+        state = random_state(n, rng)
+        assert np.all(state.view(np.float64) != 0)
+        q = data.draw(st.integers(0, n - 1))
+        got, want = state.copy(), state.copy()
+        kernels.apply_single_inplace(got, _mask(n, q), gate)
+        full_update_single(want, _mask(n, q), gate)
+        _same_bytes_up_to_zero_signs(got, want)
+        if n >= 2:
+            c, t = data.draw(st.sampled_from(_pairs(n)))
+            got, want = state.copy(), state.copy()
+            kernels.apply_controlled_inplace(got, _mask(n, c), _mask(n, t), gate)
+            full_update_controlled(want, _mask(n, c), _mask(n, t), gate)
+            _same_bytes_up_to_zero_signs(got, want)
+
+    @pytest.mark.parametrize("name", GATE_NAMES)
+    def test_equal_on_basis_states(self, name):
+        gate = structured_gates()[name]
+        for n in range(1, 5):
+            for b in range(2 ** n):
+                state = np.eye(2 ** n, dtype=np.complex128)[b]
+                for q in range(n):
+                    got, want = state.copy(), state.copy()
+                    kernels.apply_single_inplace(got, _mask(n, q), gate)
+                    full_update_single(want, _mask(n, q), gate)
+                    assert np.array_equal(got, want)
+                for c, t in _pairs(n):
+                    got, want = state.copy(), state.copy()
+                    kernels.apply_controlled_inplace(
+                        got, _mask(n, c), _mask(n, t), gate)
+                    full_update_controlled(want, _mask(n, c), _mask(n, t), gate)
+                    assert np.array_equal(got, want)
+
+    # 1e-300 is far below the rounding of any amplitude near 1, so the
+    # structured paths would drop it silently; only the full update keeps it.
+    def test_tiny_off_diagonal_takes_full_path(self):
+        gate = np.array([[1, 1e-300], [1e-300, _phase(0.4)]])
+        amps = np.array([0, 1], dtype=np.complex128)
+        kernels.apply_single_inplace(amps, 1, gate)
+        assert amps[0] == 1e-300
+        amps = np.array([0, 0, 0, 1], dtype=np.complex128)
+        kernels.apply_controlled_inplace(amps, 2, 1, gate)
+        assert amps[2] == 1e-300
+
+    def test_tiny_diagonal_takes_full_path(self):
+        gate = np.array([[1e-300, 1], [1, 1e-300]])
+        amps = np.array([1, 0], dtype=np.complex128)
+        kernels.apply_single_inplace(amps, 1, gate)
+        assert amps[0] == 1e-300 and amps[1] == 1
+        amps = np.array([0, 0, 1, 0], dtype=np.complex128)
+        kernels.apply_controlled_inplace(amps, 2, 1, gate)
+        assert amps[2] == 1e-300 and amps[3] == 1
+
+
+class TestStructuredGatesTouchOnlyTheirHalves:
+    @pytest.mark.parametrize("name", GATE_NAMES)
+    def test_control_zero_half_untouched(self, name):
+        gate = structured_gates()[name]
+        rng = np.random.default_rng(6)
+        for n in (2, 3, 5):
+            # -0.0 parts too, whose sign a recomputation could flip.
+            state = random_state(n, rng)
+            state[::3] = complex(-0.0, -0.0)
+            for c, t in _pairs(n):
+                amps = state.copy()
+                kernels.apply_controlled_inplace(amps, _mask(n, c), _mask(n, t), gate)
+                off = (np.arange(2 ** n) & _mask(n, c)) == 0
+                assert amps[off].tobytes() == state[off].tobytes()
+
+    @pytest.mark.parametrize("name", ["u(0,0,lam)", "u(0,0,lam)^dag", "Z", "I"])
+    def test_unit_entry_half_untouched(self, name):
+        gate = structured_gates()[name]
+        rng = np.random.default_rng(7)
+        for n in (1, 3, 5):
+            state = random_state(n, rng)
+            state[::3] = complex(-0.0, -0.0)
+            index = np.arange(2 ** n)
+            for q in range(n):
+                amps = state.copy()
+                kernels.apply_single_inplace(amps, _mask(n, q), gate)
+                zero = (index & _mask(n, q)) == 0
+                assert amps[zero].tobytes() == state[zero].tobytes()
+            for c, t in _pairs(n):
+                amps = state.copy()
+                kernels.apply_controlled_inplace(amps, _mask(n, c), _mask(n, t), gate)
+                kept = ((index & _mask(n, c)) == 0) | ((index & _mask(n, t)) == 0)
+                assert amps[kept].tobytes() == state[kept].tobytes()

@@ -6,7 +6,7 @@ byte-identical: equal digests mean equal outputs. It imports ``aqs`` from the
 
     python tools/output_digest.py
 
-It prints three digests, each chunk hashed behind its 8-byte length. The first
+It prints four digests, each chunk hashed behind its 8-byte length. The first
 covers two groups of library outputs:
 
 * every :func:`aqs.run_protocol` run over four scheme rows, both wirings,
@@ -27,6 +27,11 @@ The third covers the key layer and state fingerprints on fixed inputs:
 ``random_bits`` and ``derive_permutation`` over bit strings of length 1 to 70,
 and the transcript fingerprint of states with -0.0 entries, each taken twice so
 that a value kept from the first call is hashed too.
+
+The fourth covers the same outputs as the first, with the recovered amplitudes
+folded by ``+ 0.0``, which turns every -0.0 into 0.0 and leaves all other bytes
+alone. A change that moves only the sign of exact zeros in those amplitudes
+changes the first line and keeps the fourth.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ def messages(n: int) -> tuple[MessageSpec, ...]:
     )
 
 
-def protocol_outputs():
+def protocol_outputs(fold_zero_signs: bool = False):
     cases = itertools.product(SIZES, SCHEME_ROWS, WIRINGS, VERIFY_MODES)
     for i, (n, (scheme, mode), wiring, verify) in enumerate(cases):
         for j, (tamper, message) in enumerate(
@@ -96,7 +101,11 @@ def protocol_outputs():
             yield json.dumps(result.ops).encode()
             yield reports.circuit_report_json(result.ops).encode()
             recovered = result.recovered_state
-            yield b"-" if recovered is None else recovered.amps.tobytes()
+            if recovered is None:
+                yield b"-"
+            else:
+                amps = recovered.amps + 0.0 if fold_zero_signs else recovered.amps
+                yield amps.tobytes()
             yield b"-" if result.histogram is None else result.histogram.to_csv().encode()
             proof = result.proof
             yield b"-" if proof is None else json.dumps(
@@ -201,6 +210,9 @@ def main() -> None:
           "runs and attacks")
     print(digest_of(cli_outputs()), "cli")
     print(digest_of(key_outputs()), "keys and fingerprints")
+    print(digest_of(itertools.chain(protocol_outputs(fold_zero_signs=True),
+                                    attack_outputs())),
+          "runs and attacks, zero signs folded")
 
 
 if __name__ == "__main__":
