@@ -18,7 +18,6 @@ from .protocol import (
     TamperSpec,
     VerificationOutcome,
     Wiring,
-    encode_classical_message,
     run_protocol,
 )
 from .qstate import (
@@ -47,7 +46,6 @@ __all__ = [
     "active_backend",
     "basis_state",
     "derive_permutation",
-    "encode_classical_message",
     "init_product_state",
     "run_protocol",
     "sample_lambda",

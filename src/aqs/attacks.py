@@ -24,6 +24,7 @@ from .protocol import (
     SignaturePackage,
     TamperSpec,
     VerificationOutcome,
+    _check_seed,
     run_protocol,
     signer,
 )
@@ -54,6 +55,9 @@ def random_pauli_string(n: int, rng: np.random.Generator,
     ``diagonal`` draws from {I,Z}^n minus the identity, ``xy`` conditions on
     at least one X or Y, ``random`` is uniform over all 4^n strings.
     """
+    # At n = 0 the diagonal and xy classes are empty, and their loops never end.
+    if n < 1:
+        raise ConfigError(f"a Pauli string needs n >= 1, got {n}")
     def draw(letters: str) -> str:
         # The same draws as rng.choice(list(letters), size=n).
         return "".join([letters[i] for i in rng.integers(0, len(letters), size=n)])
@@ -172,13 +176,14 @@ def _aggregate(scheme: str, euler_mode: str, sigma_class: str,
 
 # -- Pauli forgery -----------------------------------------------------------------
 
-def honest_package(session: ProtocolSession, signer_index: int = 1) -> SignaturePackage:
-    """Complete the signing phase on the session's message.
+def honest_package(session: ProtocolSession) -> SignaturePackage:
+    """Complete the configured signer's signing phase on the session's message.
 
     One preparation is both the signed register and the clear copy, as in
     :func:`aqs.protocol.run_protocol`.
     """
-    return session.sign(signer_index, session.config.message.prepare())
+    config = session.config
+    return session.sign(config.signer_index, config.message.prepare())
 
 
 def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
@@ -232,6 +237,7 @@ def forgery_sweep(n: int, trials: int, seed: int,
         raise ConfigError(f"sweep needs n >= 2, got {n}")
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
+    _check_seed(seed)
     reports = []
     for row, (scheme, mode) in enumerate(_SWEEP_ROWS):
         mode_label = mode.value if scheme is Scheme.CHAINED_CU else "-"
@@ -278,6 +284,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
         )
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
+    _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
     true_key = session.ledger.lookup(signer(1).label, "identity-key")
@@ -308,14 +315,12 @@ def impersonation_attempt(n: int, trials: int, seed: int,
         else:
             # Knowledge of the key (and possibly the angles): a real signature.
             message = MessageSpec.random_product(n, trial_rng).prepare()
+            ctx = session.context_for(1)
             if knowledge == "key":
-                lambdas = keys.sample_lambda(n, trial_rng)
-            else:
-                lambdas = session._signers[1].lambdas
-            ctx = EncryptionContext(
-                scheme=Scheme.CHAINED_CU, n=n,
-                perm=session.context_for(1).perm, lambdas=lambdas,
-            )
+                ctx = EncryptionContext(
+                    scheme=Scheme.CHAINED_CU, n=n, perm=ctx.perm,
+                    lambdas=keys.sample_lambda(n, trial_rng),
+                )
             pkg = SignaturePackage(
                 signer=signer(1),
                 message=message,

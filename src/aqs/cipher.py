@@ -20,11 +20,8 @@ diag(1, e^{i lambda}); ``general`` mode uses full three-angle rotations.
 Decryption and message recovery run :func:`inverse_ops` of the forward
 list: the same entries in reversed order, each matrix replaced by its
 adjoint and ``cu``/``u`` renamed ``cu_adjoint``/``u_adjoint`` (the other
-names stay, as those gates are their own inverses).
-
-Ops lists: every function that applies gates accepts an optional list and
-appends one ``(gate_name, qubits)`` event per applied gate, in order, for
-circuit accounting.
+names stay, as those gates are their own inverses). :func:`run` runs any
+such list on a state of the context's size.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ import numpy as np
 
 from . import gates, qstate
 from .errors import ConfigError, LengthMismatchError
-from .qstate import Op, OpList, StateVector
+from .qstate import Op, StateVector
 
 
 class Scheme(str, Enum):
@@ -170,53 +167,39 @@ def inverse_ops(ops: list[Op]) -> list[Op]:
     ]
 
 
-def _run(state: StateVector, ctx: EncryptionContext, circuit: list[Op],
-         ops: OpList | None) -> StateVector:
+def run(state: StateVector, ctx: EncryptionContext, circuit: list[Op]) -> StateVector:
+    """Run ``circuit`` on ``state``, which must have the context's n qubits."""
     if state.n != ctx.n:
         raise LengthMismatchError(
             f"context is for n={ctx.n}, state has n={state.n}"
         )
-    state = qstate.apply_ops(state, circuit)
-    if ops is not None:
-        ops.extend((name, qubits) for name, qubits, _ in circuit)
-    return state
+    return qstate.apply_ops(state, circuit)
 
 
 # -- the layers ---------------------------------------------------------------------
 
-def encrypt(state: StateVector, ctx: EncryptionContext,
-            ops: OpList | None = None) -> StateVector:
-    return _run(state, ctx, encryption_ops(ctx), ops)
+def encrypt(state: StateVector, ctx: EncryptionContext) -> StateVector:
+    return run(state, ctx, encryption_ops(ctx))
 
 
-def decrypt(state: StateVector, ctx: EncryptionContext,
-            ops: OpList | None = None) -> StateVector:
-    return _run(state, ctx, inverse_ops(encryption_ops(ctx)), ops)
+def decrypt(state: StateVector, ctx: EncryptionContext) -> StateVector:
+    return run(state, ctx, inverse_ops(encryption_ops(ctx)))
 
 
-def sign_layer(state: StateVector, ctx: EncryptionContext,
-               ops: OpList | None = None) -> StateVector:
+def sign_layer(state: StateVector, ctx: EncryptionContext) -> StateVector:
     """Local rotation U(theta_j, phi_j, lambda_j) on every qubit."""
-    return _run(state, ctx, signing_ops(ctx), ops)
+    return run(state, ctx, signing_ops(ctx))
 
 
-def unsign_layer(state: StateVector, ctx: EncryptionContext,
-                 ops: OpList | None = None) -> StateVector:
+def unsign_layer(state: StateVector, ctx: EncryptionContext) -> StateVector:
     """Adjoint of :func:`sign_layer`."""
-    return _run(state, ctx, inverse_ops(signing_ops(ctx)), ops)
+    return run(state, ctx, inverse_ops(signing_ops(ctx)))
 
 
-def make_signature(message: StateVector, ctx: EncryptionContext,
-                   ops: OpList | None = None) -> StateVector:
+def make_signature(message: StateVector, ctx: EncryptionContext) -> StateVector:
     """Signature state for a message.
 
     The cu scheme stacks the per-qubit signing rotation on top of the
     chained encryption; the baseline schemes sign by encryption alone.
     """
-    return _run(message, ctx, signature_ops(ctx), ops)
-
-
-def recover_message(signature: StateVector, ctx: EncryptionContext,
-                    ops: OpList | None = None) -> StateVector:
-    """Exact inverse of :func:`make_signature`."""
-    return _run(signature, ctx, inverse_ops(signature_ops(ctx)), ops)
+    return run(message, ctx, signature_ops(ctx))

@@ -62,13 +62,13 @@ def pauli(name: str) -> np.ndarray:
     return table[key]()
 
 
-def is_unitary(gate: np.ndarray, atol: float = UNITARITY_ATOL) -> bool:
-    """True when gate @ gate^dagger is the identity within ``atol``.
+def is_unitary(gate: np.ndarray) -> bool:
+    """True when gate @ gate^dagger is the identity within ``UNITARITY_ATOL``.
 
-    The test is ``np.allclose(gate @ gate^dagger, I, atol=atol)``, worked
-    out on the four entries in Python arithmetic: numpy's default
-    ``rtol=1e-5`` widens the diagonal bound to ``atol + 1e-5``. NaN and inf
-    entries fail it, as they fail ``np.allclose``.
+    The test is ``np.allclose(gate @ gate^dagger, I, atol=UNITARITY_ATOL)``,
+    worked out on the four entries in Python arithmetic: numpy's default
+    ``rtol=1e-5`` widens the diagonal bound to ``UNITARITY_ATOL + 1e-5``.
+    NaN and inf entries fail it, as they fail ``np.allclose``.
     """
     gate = np.asarray(gate)
     if gate.shape != (2, 2):
@@ -78,16 +78,16 @@ def is_unitary(gate: np.ndarray, atol: float = UNITARITY_ATOL) -> bool:
     off = a * c.conjugate() + b * d.conjugate()
     top = a * a.conjugate() + b * b.conjugate()
     bottom = c * c.conjugate() + d * d.conjugate()
-    diag_tol = atol + 1e-5
-    return (abs(off) <= atol and abs(top - 1.0) <= diag_tol
+    diag_tol = UNITARITY_ATOL + 1e-5
+    return (abs(off) <= UNITARITY_ATOL and abs(top - 1.0) <= diag_tol
             and abs(bottom - 1.0) <= diag_tol)
 
 
-def adjoint(gate: np.ndarray, atol: float = UNITARITY_ATOL) -> np.ndarray:
+def adjoint(gate: np.ndarray) -> np.ndarray:
     """Conjugate transpose; rejects non-unitary input so G @ adjoint(G) = I."""
-    if not is_unitary(gate, atol=atol):
+    if not is_unitary(gate):
         raise NotUnitaryError(
             "adjoint requires a unitary 2x2 matrix; deviation exceeds "
-            f"atol={atol}"
+            f"atol={UNITARITY_ATOL}"
         )
     return np.asarray(gate, dtype=np.complex128).conj().T.copy()

@@ -16,15 +16,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     DuplicateDeliveryError,
-    InvalidChannelError,
     LengthMismatchError,
     UnknownPartyError,
 )
 
 # Phase angles are drawn from [0, pi]; the signing rotation only needs half a turn.
 LAMBDA_MAX = math.pi
-
-CHANNEL_KINDS = ("qkd", "quantum-auth")
 
 
 # Deletes '0' and '1', so a bit string translates to "".
@@ -114,7 +111,6 @@ class KeyDeliveryRecord:
     receiver: str
     purpose: str
     bits: str
-    channel_kind: str
 
 
 class DeliveryLedger:
@@ -123,22 +119,16 @@ class DeliveryLedger:
     def __init__(self) -> None:
         self._records: dict[tuple[str, str, str], KeyDeliveryRecord] = {}
 
-    def distribute(self, sender: str, receiver: str, purpose: str, bits: str,
-                   channel_kind: str) -> KeyDeliveryRecord:
+    def distribute(self, sender: str, receiver: str, purpose: str,
+                   bits: str) -> KeyDeliveryRecord:
         _check_bits(bits, purpose)
-        if channel_kind not in CHANNEL_KINDS:
-            raise InvalidChannelError(
-                f"channel {channel_kind!r} is not a trusted delivery channel; "
-                f"expected one of {CHANNEL_KINDS}"
-            )
         slot = (sender, receiver, purpose)
         if slot in self._records:
             raise DuplicateDeliveryError(
                 f"{purpose!r} already delivered from {sender!r} to {receiver!r}"
             )
         record = KeyDeliveryRecord(
-            sender=sender, receiver=receiver, purpose=purpose,
-            bits=bits, channel_kind=channel_kind,
+            sender=sender, receiver=receiver, purpose=purpose, bits=bits
         )
         self._records[slot] = record
         return record

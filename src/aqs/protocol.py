@@ -160,7 +160,7 @@ class MessageSpec:
 
     def prepare(self) -> StateVector:
         if self.kind == "classical":
-            return encode_classical_message(self.bits)
+            return qstate.basis_state(len(self.bits), self.bits)
         return qstate.init_product_state(self.amps)
 
     def to_payload(self) -> dict[str, Any]:
@@ -177,9 +177,10 @@ def _check_ceiling(n: int) -> None:
         raise ConfigError(f"n = {n} exceeds the {MAX_QUBITS}-qubit ceiling")
 
 
-def encode_classical_message(bits: str) -> StateVector:
-    """Computational basis state |b1...bn> for a classical bit string."""
-    return qstate.basis_state(len(bits), bits)
+def _check_seed(seed: int, name: str = "seed") -> None:
+    # numpy's generators take no negative seed, and say so with a plain ValueError.
+    if seed < 0:
+        raise ConfigError(f"{name} must be non-negative, got {seed}")
 
 
 # -- tamper injection --------------------------------------------------------------
@@ -330,6 +331,8 @@ class RunConfig:
             raise ConfigError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
         if self.swap_shots < 1:
             raise ConfigError(f"swap_shots must be at least 1, got {self.swap_shots}")
+        for name in ("seed_keys", "seed_lambda", "seed_shots"):
+            _check_seed(getattr(self, name), name)
         if self.message.n != self.n:
             raise ConfigError(
                 f"message spec covers {self.message.n} qubits, config says {self.n}"
@@ -513,30 +516,26 @@ class ProtocolSession:
         self._is_setup = True
 
     def _record_delivery(self, to: PartyId, purpose: str, bits: str) -> None:
-        record = self.ledger.distribute(
-            KGC.label, to.label, purpose, bits, channel_kind="qkd"
-        )
+        record = self.ledger.distribute(KGC.label, to.label, purpose, bits)
         self.transcript.append(
             "delivery",
             record.sender,
             record.receiver,
-            {"purpose": purpose, "channel": record.channel_kind,
-             "bits": bits, "length": len(bits)},
+            {"purpose": purpose, "channel": "qkd", "bits": bits, "length": len(bits)},
         )
 
     # -- phase 2: signing-angle registration
 
-    def register_lambda(self, signer_index: int,
-                        inject: tuple[float, ...] | None = None) -> tuple[float, ...]:
+    def register_lambda(self, signer_index: int) -> tuple[float, ...]:
         st = self._signer_state(signer_index)
-        n = self.config.n
-        lams = tuple(float(x) for x in inject) if inject is not None \
-            else keys.sample_lambda(n, self._rng_lambda)
-        if len(lams) != n:
-            raise LengthMismatchError(f"need {n} angles, got {len(lams)}")
+        cfg = self.config
+        n = cfg.n
+        if signer_index == cfg.signer_index and cfg.inject_lambdas is not None:
+            lams = cfg.inject_lambdas
+        else:
+            lams = keys.sample_lambda(n, self._rng_lambda)
         st.lambdas = lams
         payload: dict[str, Any] = {"lambdas": list(lams), "count": n}
-        cfg = self.config
         thetas = phis = None
         if cfg.euler_mode is EulerMode.GENERAL:
             thetas = tuple(float(x) for x in self._rng_lambda.uniform(0, math.pi, n))
@@ -575,10 +574,9 @@ class ProtocolSession:
     def sign(self, signer_index: int, message: StateVector) -> SignaturePackage:
         st = self._signer_state(signer_index)
         ctx = self.context_for(signer_index)
-        gate_ops: OpList = []
-        signature = cipher.make_signature(message, ctx, gate_ops)
-        self._log_gates(signer(signer_index).label, gate_ops)
-        self._log_skipped_steps(signer(signer_index).label, ctx)
+        signature = self._run_phase(
+            signer(signer_index).label, message, ctx, cipher.signature_ops(ctx)
+        )
         tag = keys.tag_of_bits(st.key_bits)
         pkg = SignaturePackage(
             signer=signer(signer_index), message=message, signature=signature, tag=tag
@@ -590,21 +588,25 @@ class ProtocolSession:
         )
         return pkg
 
+    def _run_phase(self, owner: str, state: StateVector, ctx: EncryptionContext,
+                   circuit: list[qstate.Op]) -> StateVector:
+        """Run one party's cipher circuit, then log its gates and skipped steps."""
+        state = cipher.run(state, ctx, circuit)
+        self._log_gates(owner, [(name, qubits) for name, qubits, _ in circuit])
+        # Identity chain steps stay out of the gate count but leave a trace.
+        if ctx.perm is not None:
+            for j, t in enumerate(ctx.perm):
+                if t == j:
+                    self.transcript.append(
+                        "skipped-step", owner, owner, {"slot": j}
+                    )
+        return state
+
     def _log_gates(self, owner: str, gate_ops: OpList) -> None:
         for name, qubits in gate_ops:
             self.transcript.append(
                 "gate", owner, owner, {"gate": name, "qubits": list(qubits)}
             )
-
-    def _log_skipped_steps(self, owner: str, ctx: EncryptionContext) -> None:
-        # Identity chain steps stay out of the gate count but leave a trace.
-        if ctx.perm is None:
-            return
-        for j, t in enumerate(ctx.perm):
-            if t == j:
-                self.transcript.append(
-                    "skipped-step", owner, owner, {"slot": j}
-                )
 
     def log_initialize(self, owner: PartyId, n: int) -> None:
         self._log_gates(owner.label, [("initialize", (q,)) for q in range(n)])
@@ -669,22 +671,22 @@ class ProtocolSession:
                 f"message has {message.n} qubits, signature {fwd.signature.n}"
             )
         ctx = self.context_for(idx)
-        gate_ops: OpList = []
-        recovered = cipher.recover_message(fwd.signature, ctx, gate_ops)
-        self._log_gates(KGC.label, gate_ops)
-        self._log_skipped_steps(KGC.label, ctx)
+        recovered = self._run_phase(
+            KGC.label, fwd.signature, ctx,
+            cipher.inverse_ops(cipher.signature_ops(ctx)),
+        )
         self._last_recovered = recovered
         ov = qstate.overlap_sq(recovered, message)
+        pass_probability = qstate.swap_test_pass_probability(ov)
         if cfg.verify_mode is VerifyMode.SAMPLED:
             accepted, ones = qstate.swap_test_sampled(
-                recovered, message, cfg.swap_shots, self.shots_rng
+                pass_probability, cfg.swap_shots, self.shots_rng
             )
         else:
             accepted, ones = ov >= EXACT_ACCEPT_THRESHOLD, None
-        # The swap test's pass probability, 1/2 + |<a|b>|^2 / 2.
         outcome = VerificationOutcome(
             accepted=accepted, stage="state-compare", overlap_sq=ov,
-            pass_probability=0.5 + 0.5 * ov, swap_ones=ones,
+            pass_probability=pass_probability, swap_ones=ones,
         )
         if outcome.accepted:
             proof = SignatureProof(signer=fwd.signer, lambdas=st.lambdas or (),
@@ -706,13 +708,12 @@ class ProtocolSession:
 
     # -- dispute resolution
 
-    def arbitrate_dispute(self, signer_id: PartyId | int) -> SignatureProof:
-        idx = signer_id.index if isinstance(signer_id, PartyId) else int(signer_id)
-        if idx not in self._proofs:
+    def arbitrate_dispute(self, signer_index: int) -> SignatureProof:
+        if signer_index not in self._proofs:
             raise NoProofStoredError(
-                f"no accepted signature proof stored for signer {idx}"
+                f"no accepted signature proof stored for signer {signer_index}"
             )
-        return self._proofs[idx]
+        return self._proofs[signer_index]
 
     @property
     def shots_rng(self) -> np.random.Generator:
@@ -765,7 +766,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     session = ProtocolSession(config)
     session.setup()
     idx = config.signer_index
-    session.register_lambda(idx, inject=config.inject_lambdas)
+    session.register_lambda(idx)
 
     alice = signer(idx)
     # The protocol prepares two copies from one recipe: the register to sign

@@ -275,23 +275,25 @@ def sample(state: StateVector, shots: int, rng: np.random.Generator) -> ShotHist
 
 # -- swap test ----------------------------------------------------------------
 
-def swap_test_pass_probability(a: StateVector, b: StateVector) -> float:
-    """Probability the swap-test ancilla reads 0: 1/2 + |<a|b>|^2 / 2."""
-    return 0.5 + 0.5 * overlap_sq(a, b)
+def swap_test_pass_probability(overlap: float) -> float:
+    """Probability the swap-test ancilla reads 0, from the squared overlap
+    |<a|b>|^2 of the two states (see :func:`overlap_sq`): 1/2 + |<a|b>|^2 / 2."""
+    return 0.5 + 0.5 * overlap
 
 
-def swap_test_sampled(a: StateVector, b: StateVector, shots: int,
+def swap_test_sampled(pass_probability: float, shots: int,
                       rng: np.random.Generator) -> tuple[bool, int]:
     """Finite-shot swap test; returns (accepted, number of ancilla-1 outcomes).
 
-    Accepts only when every shot reads ancilla 0. Identical states always
-    pass; orthogonal states slip through with probability 2**-shots.
+    ``pass_probability`` is :func:`swap_test_pass_probability` of the two
+    states. One binomial draw gives the ancilla-1 count. Accepts only when
+    every shot reads ancilla 0. Identical states always pass; orthogonal
+    states slip through with probability 2**-shots.
     """
     if shots <= 0:
         raise ZeroShotsError(f"shots must be positive, got {shots}")
     # P(ancilla = 1) = (1 - |<a|b>|^2) / 2 exactly (Buhrman et al., PRL 87,
     # 167902, 2001); tests/oracles.py runs the (2n+1)-qubit circuit against it.
-    p_one = 1.0 - swap_test_pass_probability(a, b)
+    p_one = 1.0 - pass_probability
     ones = int(rng.binomial(shots, min(max(p_one, 0.0), 1.0)))
     return ones == 0, ones
-

@@ -22,7 +22,7 @@ from aqs.attacks import (
     tamper_in_transit,
 )
 from aqs.cipher import EulerMode, Scheme
-from aqs.errors import InvalidChannelError, LengthMismatchError
+from aqs.errors import ConfigError, InvalidChannelError, LengthMismatchError
 from aqs.protocol import (
     EXACT_ACCEPT_THRESHOLD,
     MessageSpec,
@@ -102,6 +102,13 @@ class TestRandomPauliString:
     def test_unknown_class(self):
         with pytest.raises(ValueError):
             random_pauli_string(4, np.random.default_rng(0), "clifford")
+
+    def test_empty_register_rejected(self):
+        # "random" comes first: it has an answer at n = 0 (the empty string),
+        # where the other classes are empty and a draw-until-valid loop never ends.
+        for sigma_class in ("random", "diagonal", "xy"):
+            with pytest.raises(ConfigError, match="n >= 1"):
+                random_pauli_string(0, np.random.default_rng(0), sigma_class)
 
 
 class TestForgeryOutcomes:
@@ -195,6 +202,10 @@ class TestForgerySweep:
         with pytest.raises(ValueError):
             forgery_sweep(n=3, trials=0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="non-negative"):
+            forgery_sweep(3, 2, -1)
+
 
 class TestImpersonation:
     def test_without_key_knowledge_nothing_accepts(self):
@@ -224,6 +235,11 @@ class TestImpersonation:
             with pytest.raises(ValueError, match="trials must be positive"):
                 impersonation_attempt(n=4, trials=trials, seed=0,
                                       knowledge=knowledge)
+
+    def test_negative_seed_rejected(self):
+        for knowledge in KNOWLEDGE_LEVELS:
+            with pytest.raises(ConfigError, match="non-negative"):
+                impersonation_attempt(3, 2, -1, knowledge=knowledge)
 
     def test_deterministic(self):
         a = impersonation_attempt(n=6, trials=50, seed=5)

@@ -12,9 +12,12 @@ from aqs.cipher import (
     Scheme,
     decrypt,
     encrypt,
+    encryption_ops,
+    inverse_ops,
     make_signature,
-    recover_message,
+    run,
     sign_layer,
+    signature_ops,
     unsign_layer,
 )
 from aqs.errors import ConfigError, LengthMismatchError
@@ -35,6 +38,15 @@ DEMO_PERM = derive_permutation("1010")
 
 def make_state(n: int, seed: int) -> StateVector:
     return StateVector(n, random_state(n, np.random.default_rng(seed)))
+
+
+def recover(signature: StateVector, ctx: EncryptionContext) -> StateVector:
+    """The arbiter's inverse of make_signature."""
+    return run(signature, ctx, inverse_ops(signature_ops(ctx)))
+
+
+def gate_events(circuit) -> list[tuple[str, tuple[int, ...]]]:
+    return [(name, qubits) for name, qubits, _ in circuit]
 
 
 def cu_ctx(n: int, seed: int, mode: EulerMode = EulerMode.DIAGONAL) -> EncryptionContext:
@@ -153,7 +165,7 @@ class TestRoundtrips:
         else:
             ctx = EncryptionContext(scheme, 3, qotp_key=key)
         s = make_state(3, 73)
-        assert overlap_sq(recover_message(make_signature(s, ctx), ctx), s) >= 1 - 1e-10
+        assert overlap_sq(recover(make_signature(s, ctx), ctx), s) >= 1 - 1e-10
 
     def test_size_mismatch(self):
         ctx = cu_ctx(3, 1)
@@ -161,6 +173,8 @@ class TestRoundtrips:
             encrypt(make_state(2, 0), ctx)
         with pytest.raises(LengthMismatchError):
             decrypt(make_state(4, 0), ctx)
+        with pytest.raises(LengthMismatchError):
+            run(make_state(4, 0), ctx, [])
 
 
 class TestAgainstMatrixOracle:
@@ -224,9 +238,7 @@ class TestGateAccounting:
         ctx = EncryptionContext(
             Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS
         )
-        ops = []
-        encrypt(basis_state(4, "0110"), ctx, ops)
-        assert ops == [
+        assert gate_events(encryption_ops(ctx)) == [
             ("cu", (0, 1)), ("cu", (1, 3)), ("cu", (2, 0)), ("cu", (3, 2)),
         ]
 
@@ -234,36 +246,34 @@ class TestGateAccounting:
         ctx = EncryptionContext(
             Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS
         )
-        ops = []
-        decrypt(basis_state(4, 0), ctx, ops)
-        assert ops == [
+        assert gate_events(inverse_ops(encryption_ops(ctx))) == [
             ("cu_adjoint", (3, 2)), ("cu_adjoint", (2, 0)),
             ("cu_adjoint", (1, 3)), ("cu_adjoint", (0, 1)),
         ]
-        # Every scheme recovers by the signature's ops reversed, adjoint-renamed.
+        # Every scheme recovers by the signature's ops reversed, adjoint-renamed,
+        # each matrix replaced by its conjugate transpose.
         adjoint_name = {"cu": "cu_adjoint", "u": "u_adjoint"}
         for ctx in (cu_ctx(4, 90), cu_ctx(4, 91, EulerMode.GENERAL),
                     EncryptionContext(Scheme.CHAINED_CNOT, 4, perm=(2, 0, 3, 1)),
                     EncryptionContext(Scheme.QOTP, 4, qotp_key="10011101")):
-            signed, recovered = [], []
-            signature = make_signature(make_state(4, 92), ctx, signed)
-            recover_message(signature, ctx, recovered)
+            signed = signature_ops(ctx)
+            recovered = inverse_ops(signed)
             assert len(signed) >= 4
-            assert recovered == [
+            assert gate_events(recovered) == [
                 (adjoint_name.get(name, name), qubits)
-                for name, qubits in reversed(signed)
+                for name, qubits, _ in reversed(signed)
             ]
+            for (_, _, gate), (_, _, inverse) in zip(reversed(signed), recovered):
+                np.testing.assert_array_equal(inverse, gate.conj().T)
 
     def test_fixed_points_skipped(self):
-        # Key 0101 maps slots 0 and 2 to themselves.
+        # Key 0101 maps slots 0 and 3 to themselves.
         perm = derive_permutation("0101")
         assert perm == (0, 2, 1, 3)
         ctx = EncryptionContext(
             Scheme.CHAINED_CU, 4, perm=perm, lambdas=DEMO_LAMBDAS
         )
-        ops = []
-        encrypt(basis_state(4, 0), ctx, ops)
-        assert ops == [("cu", (1, 2)), ("cu", (2, 1))]
+        assert gate_events(encryption_ops(ctx)) == [("cu", (1, 2)), ("cu", (2, 1))]
 
     def test_all_fixed_points_is_identity(self):
         perm = derive_permutation("0000")
@@ -271,30 +281,24 @@ class TestGateAccounting:
             Scheme.CHAINED_CU, 4, perm=perm, lambdas=DEMO_LAMBDAS
         )
         s = make_state(4, 85)
-        ops = []
-        out = encrypt(s, ctx, ops)
-        assert ops == []
-        np.testing.assert_array_equal(out.amps, s.amps)
+        assert encryption_ops(ctx) == []
+        np.testing.assert_array_equal(encrypt(s, ctx).amps, s.amps)
 
     def test_signature_op_counts(self):
         ctx = cu_ctx(4, 14)
-        ops = []
-        sig = make_signature(basis_state(4, 3), ctx, ops)
-        names = [name for name, _ in ops]
+        names = [name for name, _, _ in signature_ops(ctx)]
         fixed = sum(1 for j, t in enumerate(ctx.perm) if j == t)
         assert names.count("cu") == 4 - fixed
         assert names.count("u") == 4
-        ops2 = []
-        recover_message(sig, ctx, ops2)
-        names2 = [name for name, _ in ops2]
+        names2 = [name for name, _, _ in inverse_ops(signature_ops(ctx))]
         assert names2.count("u_adjoint") == 4
         assert names2.count("cu_adjoint") == 4 - fixed
 
     def test_qotp_ops_follow_key(self):
         ctx = EncryptionContext(Scheme.QOTP, 2, qotp_key="1101")
-        ops = []
-        encrypt(basis_state(2, 0), ctx, ops)
-        assert ops == [("z", (0,)), ("x", (0,)), ("x", (1,))]
+        assert gate_events(encryption_ops(ctx)) == [
+            ("z", (0,)), ("x", (0,)), ("x", (1,)),
+        ]
 
 
 class TestDiagonalInvariance:

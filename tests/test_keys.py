@@ -16,7 +16,6 @@ from aqs import keys
 from aqs.errors import (
     ConfigError,
     DuplicateDeliveryError,
-    InvalidChannelError,
     LengthMismatchError,
     UnknownPartyError,
 )
@@ -265,27 +264,27 @@ class TestLambdaSampling:
 class TestDeliveryLedger:
     def test_distribute_and_lookup(self):
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "signer_1", "signing-key", "1010", "qkd")
+        ledger.distribute("kgc", "signer_1", "signing-key", "1010")
         assert ledger.lookup("signer_1", "signing-key") == "1010"
         assert len(ledger.records()) == 1
 
     def test_duplicate_rejected(self):
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "signer_1", "signing-key", "1010", "qkd")
+        ledger.distribute("kgc", "signer_1", "signing-key", "1010")
         with pytest.raises(DuplicateDeliveryError):
-            ledger.distribute("kgc", "signer_1", "signing-key", "0101", "qkd")
+            ledger.distribute("kgc", "signer_1", "signing-key", "0101")
 
     def test_same_purpose_different_receiver_ok(self):
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "signer_1", "signing-key", "1010", "qkd")
-        ledger.distribute("kgc", "verifier", "signing-key", "1010", "quantum-auth")
+        ledger.distribute("kgc", "signer_1", "signing-key", "1010")
+        ledger.distribute("kgc", "verifier", "signing-key", "1010")
         assert len(ledger.records()) == 2
 
     def test_lookup_rejects_two_senders(self):
         # Same purpose to the same receiver from two senders: no silent pick.
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "verifier", "blind-key", "0011", "qkd")
-        ledger.distribute("signer_1", "verifier", "blind-key", "1100", "qkd")
+        ledger.distribute("kgc", "verifier", "blind-key", "0011")
+        ledger.distribute("signer_1", "verifier", "blind-key", "1100")
         with pytest.raises(DuplicateDeliveryError, match="'kgc', 'signer_1'"):
             ledger.lookup("verifier", "blind-key")
 
@@ -293,12 +292,8 @@ class TestDeliveryLedger:
         with pytest.raises(UnknownPartyError):
             DeliveryLedger().lookup("signer_9", "signing-key")
 
-    def test_invalid_channel(self):
-        with pytest.raises(InvalidChannelError):
-            DeliveryLedger().distribute("kgc", "signer_1", "k", "1", "carrier-pigeon")
-
     def test_record_fields(self):
         ledger = DeliveryLedger()
-        rec = ledger.distribute("kgc", "verifier", "blind-key", "0011", "qkd")
+        rec = ledger.distribute("kgc", "verifier", "blind-key", "0011")
         assert (rec.sender, rec.receiver, rec.purpose) == ("kgc", "verifier", "blind-key")
-        assert rec.channel_kind == "qkd"
+        assert rec.bits == "0011"

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from aqs.cipher import EulerMode, Scheme
+from aqs.cipher import EulerMode, Scheme, inverse_ops, signature_ops
 from aqs.errors import (
     ConfigError,
     ContextMismatchError,
@@ -38,7 +38,6 @@ from aqs.protocol import (
     VerifyMode,
     Wiring,
     _fingerprint,
-    encode_classical_message,
     run_protocol,
     signer,
 )
@@ -72,7 +71,7 @@ def plain_config(**overrides) -> RunConfig:
 def honest_session(config: RunConfig) -> ProtocolSession:
     session = ProtocolSession(config)
     session.setup()
-    session.register_lambda(config.signer_index, inject=config.inject_lambdas)
+    session.register_lambda(config.signer_index)
     return session
 
 
@@ -117,11 +116,6 @@ class TestMessageSpec:
         with pytest.raises(ConfigError):
             MessageSpec(kind="telepathic")
 
-    def test_encode_classical_message(self):
-        s = encode_classical_message("0110")
-        assert s.n == 4
-        assert s.amps[6] == 1.0
-
 
 class TestRunConfigValidation:
     def test_message_size_must_match(self):
@@ -139,6 +133,13 @@ class TestRunConfigValidation:
     def test_injected_lambda_count(self):
         with pytest.raises(ConfigError):
             plain_config(inject_lambdas=(0.1, 0.2))
+
+    @pytest.mark.parametrize("name", ["seed_keys", "seed_lambda", "seed_shots"])
+    def test_negative_seed(self, name):
+        # numpy's generators refuse negative seeds with a plain ValueError.
+        with pytest.raises(ConfigError, match=name):
+            plain_config(**{name: -1})
+        assert getattr(plain_config(**{name: 0}), name) == 0
 
     def test_positive_shots(self):
         with pytest.raises(ConfigError):
@@ -238,21 +239,23 @@ class TestLambdaRegistration:
     def test_injection(self):
         session = ProtocolSession(demo_config())
         session.setup()
-        lams = session.register_lambda(1, inject=DEMO_LAMBDAS)
+        lams = session.register_lambda(1)
         assert lams == DEMO_LAMBDAS
 
-    def test_wrong_count_rejected(self):
-        session = ProtocolSession(plain_config())
+    def test_injection_reaches_only_the_configured_signer(self):
+        cfg = plain_config(num_signers=2, signer_index=2, inject_lambdas=(0.1,) * 4)
+        session = ProtocolSession(cfg)
         session.setup()
-        with pytest.raises(LengthMismatchError):
-            session.register_lambda(1, inject=(0.1,))
+        assert session.register_lambda(2) == (0.1,) * 4
+        assert session.register_lambda(1) != (0.1,) * 4
 
     def test_reregistration_replaces_but_logs_both(self):
         session = ProtocolSession(plain_config())
         session.setup()
-        session.register_lambda(1, inject=(0.1,) * 4)
-        session.register_lambda(1, inject=(0.2,) * 4)
-        assert session._signers[1].lambdas == (0.2,) * 4
+        first = session.register_lambda(1)
+        second = session.register_lambda(1)
+        assert first != second
+        assert session._signers[1].lambdas == second
         events = [e for e in session.transcript.events
                   if e["type"] == "lambda-registration"]
         assert len(events) == 2
@@ -403,9 +406,66 @@ class TestForwardAndVerify:
             session.arbitrate_dispute(1)
         pkg = session.sign(1, cfg.message.prepare())
         session.kgc_verify(session.verifier_forward(pkg))
-        proof = session.arbitrate_dispute(signer(1))
+        proof = session.arbitrate_dispute(1)
         assert proof.signer == signer(1)
         assert proof.lambdas == session._signers[1].lambdas
+
+
+def phase_events(session: ProtocolSession, run_phase):
+    """What ``run_phase()`` returns, and the transcript events it appends."""
+    before = len(session.transcript.events)
+    result = run_phase()
+    return result, session.transcript.events[before:]
+
+
+def gates_and_skips(events: list[dict], owner: str):
+    gate = [(e["payload"]["gate"], tuple(e["payload"]["qubits"]))
+            for e in events if e["type"] == "gate"]
+    skipped = [e["payload"]["slot"] for e in events if e["type"] == "skipped-step"]
+    assert all((e["from"], e["to"]) == (owner, owner) for e in events
+               if e["type"] in ("gate", "skipped-step"))
+    return gate, skipped
+
+
+class TestPhaseGateEvents:
+    """Each phase logs exactly the op list it runs, then the chain's fixed points."""
+
+    @pytest.mark.parametrize("scheme,mode,skipped", [
+        (Scheme.CHAINED_CU, EulerMode.DIAGONAL, [0, 3]),
+        (Scheme.CHAINED_CU, EulerMode.GENERAL, [0, 3]),
+        (Scheme.CHAINED_CNOT, EulerMode.DIAGONAL, [0, 3]),
+        (Scheme.QOTP, EulerMode.DIAGONAL, []),
+    ])
+    def test_sign_and_verify_log_their_op_lists(self, scheme, mode, skipped):
+        # Key 0101 gives the permutation (0, 2, 1, 3): slots 0 and 3 are fixed.
+        cfg = plain_config(scheme=scheme, euler_mode=mode, inject_key_bits="0101")
+        session = honest_session(cfg)
+        ctx = session.context_for(1)
+        signed = signature_ops(ctx)
+        pkg, events = phase_events(session,
+                                   lambda: session.sign(1, cfg.message.prepare()))
+        assert gates_and_skips(events, "signer_1") == (
+            [(name, qubits) for name, qubits, _ in signed], skipped,
+        )
+        # Gate events first, then the skipped steps, then the package.
+        kinds = [e["type"] for e in events]
+        assert kinds == ["gate"] * len(signed) + ["skipped-step"] * len(skipped) \
+            + ["package"]
+
+        fwd = session.verifier_forward(pkg)
+        outcome, events = phase_events(session, lambda: session.kgc_verify(fwd))
+        assert gates_and_skips(events, "kgc") == (
+            [(name, qubits) for name, qubits, _ in inverse_ops(signed)], skipped,
+        )
+        assert outcome.accepted
+
+    def test_deliveries_ride_qkd(self):
+        session = honest_session(plain_config(scheme=Scheme.QOTP))
+        deliveries = [e for e in session.transcript.events if e["type"] == "delivery"]
+        assert [e["payload"]["purpose"] for e in deliveries] == [
+            "identity-key", "pad-key", "blind-key",
+        ]
+        assert {e["payload"]["channel"] for e in deliveries} == {"qkd"}
 
 
 class TestRunProtocol:

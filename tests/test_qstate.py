@@ -266,12 +266,21 @@ class TestSampling:
             ShotHistogram.from_csv("basis_label,count\n00,5\n010,3\n")
 
 
+def sampled_swap_test(a, b, shots, rng):
+    """The arbiter's finite-shot swap test of two states."""
+    return swap_test_sampled(swap_test_pass_probability(overlap_sq(a, b)), shots, rng)
+
+
 class TestSwapTest:
     def test_pass_probability_formula(self):
         a, b = make_state(2, 21), make_state(2, 22)
-        assert swap_test_pass_probability(a, b) == pytest.approx(
-            0.5 + 0.5 * overlap_sq(a, b)
-        )
+        ov = overlap_sq(a, b)
+        assert swap_test_pass_probability(ov) == 0.5 + 0.5 * ov
+        assert swap_test_pass_probability(1.0) == 1.0
+        assert swap_test_pass_probability(0.0) == 0.5
+        # The ancilla-0 probability of the (2n+1)-qubit circuit.
+        p_one = swap_test_ancilla_distribution(a.amps, b.amps)
+        assert swap_test_pass_probability(ov) == pytest.approx(1.0 - p_one, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_ancilla_circuit_matches_analytic(self, n):
@@ -290,27 +299,27 @@ class TestSwapTest:
             b = make_state(n, 4000 + seed)
             p_one = swap_test_ancilla_distribution(a.amps, b.amps)
             want = int(np.random.default_rng(seed).binomial(64, p_one))
-            _, ones = swap_test_sampled(a, b, 64, np.random.default_rng(seed))
+            _, ones = sampled_swap_test(a, b, 64, np.random.default_rng(seed))
             assert ones == want
 
     def test_identical_states_always_pass(self):
         s = make_state(3, 33)
         for seed in range(10):
-            accepted, ones = swap_test_sampled(s, s, 64, np.random.default_rng(seed))
+            accepted, ones = sampled_swap_test(s, s, 64, np.random.default_rng(seed))
             assert accepted and ones == 0
 
     def test_orthogonal_states_reject(self):
         a, b = basis_state(2, 0), basis_state(2, 3)
-        accepted, ones = swap_test_sampled(a, b, 64, np.random.default_rng(0))
+        accepted, ones = sampled_swap_test(a, b, 64, np.random.default_rng(0))
         assert not accepted
         assert ones > 0
 
     def test_sampled_zero_shots(self):
-        s = basis_state(1, 0)
         with pytest.raises(ZeroShotsError):
-            swap_test_sampled(s, s, 0, np.random.default_rng(0))
+            swap_test_sampled(1.0, 0, np.random.default_rng(0))
 
     def test_size_mismatch(self):
+        # The overlap the swap test is computed from refuses unequal sizes.
         with pytest.raises(DimensionMismatchError):
-            swap_test_sampled(basis_state(1, 0), basis_state(2, 0), 8,
+            sampled_swap_test(basis_state(1, 0), basis_state(2, 0), 8,
                               np.random.default_rng(0))
