@@ -14,8 +14,8 @@ from typing import Any
 import numpy as np
 
 from . import cipher, gates, keys, qstate
-from .cipher import EncryptionContext, EulerMode, Scheme
-from .errors import ConfigError, LengthMismatchError
+from .cipher import EulerMode, Scheme
+from .errors import ConfigError
 from .protocol import (
     VERIFIER,
     MessageSpec,
@@ -38,7 +38,7 @@ SIGMA_CLASSES = ("diagonal", "xy", "random")
 def apply_pauli_string(state: StateVector, sigma: str) -> StateVector:
     """Apply one Pauli letter per qubit; 'I' entries are skipped."""
     if len(sigma) != state.n:
-        raise LengthMismatchError(
+        raise ConfigError(
             f"pauli string length {len(sigma)} != register size {state.n}"
         )
     for q, letter in enumerate(sigma.upper()):
@@ -317,10 +317,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
             message = MessageSpec.random_product(n, trial_rng).prepare()
             ctx = session.context_for(1)
             if knowledge == "key":
-                ctx = EncryptionContext(
-                    scheme=Scheme.CHAINED_CU, n=n, perm=ctx.perm,
-                    lambdas=keys.sample_lambda(n, trial_rng),
-                )
+                ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
             pkg = SignaturePackage(
                 signer=signer(1),
                 message=message,

@@ -26,13 +26,14 @@ such list on a state of the context's size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import gates, qstate
-from .errors import ConfigError, LengthMismatchError
+from .errors import ConfigError
 from .qstate import Op, StateVector
 
 
@@ -55,10 +56,13 @@ def _check_perm(perm: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def _check_angles(angles: tuple[float, ...], n: int, name: str) -> tuple[float, ...]:
     if len(angles) != n:
-        raise LengthMismatchError(
+        raise ConfigError(
             f"{name} must have {n} entries, got {len(angles)}"
         )
-    return tuple(float(a) for a in angles)
+    angles = tuple(float(a) for a in angles)
+    if not all(map(math.isfinite, angles)):
+        raise ConfigError(f"{name} must be finite, got {angles}")
+    return angles
 
 
 @dataclass(frozen=True)
@@ -92,10 +96,14 @@ class EncryptionContext:
                 self, "lambdas", _check_angles(tuple(self.lambdas), self.n, "lambdas")
             )
             if mode is EulerMode.DIAGONAL:
-                if self.thetas is not None or self.phis is not None:
-                    raise ConfigError("diagonal mode fixes theta = phi = 0")
-                object.__setattr__(self, "thetas", (0.0,) * self.n)
-                object.__setattr__(self, "phis", (0.0,) * self.n)
+                # The zeros this mode stores are accepted back, so that
+                # dataclasses.replace works on a diagonal context.
+                zeros = (0.0,) * self.n
+                for angles in (self.thetas, self.phis):
+                    if angles is not None and tuple(angles) != zeros:
+                        raise ConfigError("diagonal mode fixes theta = phi = 0")
+                object.__setattr__(self, "thetas", zeros)
+                object.__setattr__(self, "phis", zeros)
             else:
                 if self.thetas is None or self.phis is None:
                     raise ConfigError("general mode needs theta and phi angles")
@@ -170,7 +178,7 @@ def inverse_ops(ops: list[Op]) -> list[Op]:
 def run(state: StateVector, ctx: EncryptionContext, circuit: list[Op]) -> StateVector:
     """Run ``circuit`` on ``state``, which must have the context's n qubits."""
     if state.n != ctx.n:
-        raise LengthMismatchError(
+        raise ConfigError(
             f"context is for n={ctx.n}, state has n={state.n}"
         )
     return qstate.apply_ops(state, circuit)

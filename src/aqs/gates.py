@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, NotUnitaryError
+from .errors import ConfigError
 
 UNITARITY_ATOL = 1e-10
 
@@ -86,7 +86,7 @@ def is_unitary(gate: np.ndarray) -> bool:
 def adjoint(gate: np.ndarray) -> np.ndarray:
     """Conjugate transpose; rejects non-unitary input so G @ adjoint(G) = I."""
     if not is_unitary(gate):
-        raise NotUnitaryError(
+        raise ConfigError(
             "adjoint requires a unitary 2x2 matrix; deviation exceeds "
             f"atol={UNITARITY_ATOL}"
         )

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DuplicateDeliveryError,
-    LengthMismatchError,
-    UnknownPartyError,
-)
+from .errors import AqsError, ConfigError
 
 # Phase angles are drawn from [0, pi]; the signing rotation only needs half a turn.
 LAMBDA_MAX = math.pi
@@ -48,7 +43,7 @@ def xor_bits(a: str, b: str) -> str:
     _check_bits(a, "a")
     _check_bits(b, "b")
     if len(a) != len(b):
-        raise LengthMismatchError(
+        raise ConfigError(
             f"xor needs equal lengths, got {len(a)} and {len(b)}"
         )
     return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b")
@@ -124,7 +119,7 @@ class DeliveryLedger:
         _check_bits(bits, purpose)
         slot = (sender, receiver, purpose)
         if slot in self._records:
-            raise DuplicateDeliveryError(
+            raise AqsError(
                 f"{purpose!r} already delivered from {sender!r} to {receiver!r}"
             )
         record = KeyDeliveryRecord(
@@ -138,12 +133,12 @@ class DeliveryLedger:
         found = [record for (_, rcv, purp), record in self._records.items()
                  if rcv == receiver and purp == purpose]
         if not found:
-            raise UnknownPartyError(
+            raise AqsError(
                 f"no secret {purpose!r} on record for party {receiver!r}"
             )
         if len(found) > 1:
             senders = ", ".join(repr(record.sender) for record in found)
-            raise DuplicateDeliveryError(
+            raise AqsError(
                 f"{purpose!r} reached {receiver!r} from {senders}; lookup is ambiguous"
             )
         return found[0].bits

@@ -29,15 +29,7 @@ import numpy as np
 
 from . import cipher, keys, qstate
 from .cipher import EncryptionContext, EulerMode, Scheme
-from .errors import (
-    ConfigError,
-    ContextMismatchError,
-    InvalidChannelError,
-    LengthMismatchError,
-    MissingLambdaError,
-    NoProofStoredError,
-    UnknownSignerError,
-)
+from .errors import AqsError, ConfigError
 from .qstate import OpList, StateVector
 
 EXACT_ACCEPT_THRESHOLD = 1.0 - 1e-9
@@ -199,7 +191,7 @@ class TamperSpec:
 
     def __post_init__(self) -> None:
         if self.channel not in TAMPER_CHANNELS:
-            raise InvalidChannelError(
+            raise ConfigError(
                 f"cannot tamper channel {self.channel!r}; interceptable "
                 f"channels are {TAMPER_CHANNELS}"
             )
@@ -222,7 +214,7 @@ class TamperSpec:
 
 def _flip_bit(bits: str, index: int) -> str:
     if index >= len(bits):
-        raise LengthMismatchError(
+        raise ConfigError(
             f"tag has {len(bits)} bits; cannot flip bit {index}"
         )
     flipped = "1" if bits[index] == "0" else "0"
@@ -242,11 +234,11 @@ class SignaturePackage:
 
     def __post_init__(self) -> None:
         if self.message.n != self.signature.n:
-            raise LengthMismatchError(
+            raise ConfigError(
                 f"message has {self.message.n} qubits, signature {self.signature.n}"
             )
         if len(self.tag) != self.message.n:
-            raise LengthMismatchError(
+            raise ConfigError(
                 f"tag length {len(self.tag)} != qubit count {self.message.n}"
             )
 
@@ -262,7 +254,7 @@ class ForwardedPackage:
 
     def __post_init__(self) -> None:
         if self.message is not None and self.message.n != self.signature.n:
-            raise LengthMismatchError(
+            raise ConfigError(
                 f"message has {self.message.n} qubits, signature {self.signature.n}"
             )
 
@@ -346,9 +338,8 @@ class RunConfig:
         if self.inject_lambdas is not None:
             if len(self.inject_lambdas) != self.n:
                 raise ConfigError("injected lambdas need one angle per qubit")
-            object.__setattr__(
-                self, "inject_lambdas", tuple(float(x) for x in self.inject_lambdas)
-            )
+            object.__setattr__(self, "inject_lambdas", cipher._check_angles(
+                tuple(self.inject_lambdas), self.n, "injected lambdas"))
 
     def to_payload(self, reveal_secrets: bool = False) -> dict[str, Any]:
         inject_key: Any = self.inject_key_bits
@@ -558,13 +549,13 @@ class ProtocolSession:
 
     def _signer_state(self, index: int) -> _SignerState:
         if not self._is_setup or index not in self._signers:
-            raise UnknownSignerError(f"no signer {index} in this session")
+            raise AqsError(f"no signer {index} in this session")
         return self._signers[index]
 
     def context_for(self, signer_index: int) -> EncryptionContext:
         ctx = self._signer_state(signer_index).ctx
         if ctx is None:
-            raise MissingLambdaError(
+            raise AqsError(
                 f"signer {signer_index} has not registered signing angles"
             )
         return ctx
@@ -628,9 +619,9 @@ class ProtocolSession:
 
     def verifier_forward(self, pkg: SignaturePackage) -> ForwardedPackage:
         if self._verifier_key is None:
-            raise UnknownSignerError("session not set up; verifier holds no key")
+            raise AqsError("session not set up; verifier holds no key")
         if len(pkg.tag) != len(self._verifier_key):
-            raise LengthMismatchError(
+            raise ConfigError(
                 f"tag length {len(pkg.tag)} != verifier key length "
                 f"{len(self._verifier_key)}"
             )
@@ -662,12 +653,12 @@ class ProtocolSession:
         if message is None:
             message = self._direct_messages.get(idx)
         if message is None:
-            raise ContextMismatchError(
+            raise AqsError(
                 "no message register available: relay wiring forwards none and "
                 "the signer sent nothing directly"
             )
         if message.n != fwd.signature.n:
-            raise LengthMismatchError(
+            raise ConfigError(
                 f"message has {message.n} qubits, signature {fwd.signature.n}"
             )
         ctx = self.context_for(idx)
@@ -710,7 +701,7 @@ class ProtocolSession:
 
     def arbitrate_dispute(self, signer_index: int) -> SignatureProof:
         if signer_index not in self._proofs:
-            raise NoProofStoredError(
+            raise AqsError(
                 f"no accepted signature proof stored for signer {signer_index}"
             )
         return self._proofs[signer_index]
@@ -748,7 +739,7 @@ def _tamper(package: SignaturePackage | ForwardedPackage,
     changes: dict[str, Any] = {}
     if spec.message_pauli is not None:
         if package.message is None:
-            raise InvalidChannelError(
+            raise ConfigError(
                 "no message register travels verifier->kgc under direct wiring"
             )
         changes["message"] = apply_pauli_string(package.message, spec.message_pauli)

@@ -20,7 +20,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import ConfigError
 from .qstate import OpList, ShotHistogram, StateVector
 
 # Canonical class order for the signing pipeline; extra classes sort after.
@@ -127,13 +127,13 @@ def _as_prob_map(dist: Any) -> tuple[int, dict[str, float]]:
         dist = np.abs(np.asarray(dist.amps)) ** 2
     arr = np.asarray(dist, dtype=float)
     if arr.ndim != 1 or arr.size < 2 or arr.size & (arr.size - 1):
-        raise DimensionMismatchError(
+        raise ConfigError(
             f"distribution length {arr.size} is not a power of two"
         )
     n = arr.size.bit_length() - 1
     total = float(arr.sum())
     if total <= 0:
-        raise DimensionMismatchError("distribution has no mass")
+        raise ConfigError("distribution has no mass")
     return n, {
         format(i, f"0{n}b"): float(p) / total for i, p in enumerate(arr) if p > 0
     }
@@ -147,7 +147,7 @@ def compare_histograms(a: Any, b: Any) -> float:
     na, pa = _as_prob_map(a)
     nb, pb = _as_prob_map(b)
     if na != nb:
-        raise DimensionMismatchError(
+        raise ConfigError(
             f"cannot compare distributions over {na} and {nb} qubits"
         )
     # fsum rounds once, so the result does not depend on the order in which
@@ -161,7 +161,7 @@ def distribution_to_csv(probs: np.ndarray) -> str:
     arr = np.asarray(probs, dtype=float)
     n = arr.size.bit_length() - 1
     if arr.size != 2 ** n:
-        raise DimensionMismatchError(
+        raise ConfigError(
             f"distribution length {arr.size} is not a power of two"
         )
     lines = ["basis_label,probability"]

@@ -22,7 +22,7 @@ from aqs.attacks import (
     tamper_in_transit,
 )
 from aqs.cipher import EulerMode, Scheme
-from aqs.errors import ConfigError, InvalidChannelError, LengthMismatchError
+from aqs.errors import ConfigError
 from aqs.protocol import (
     EXACT_ACCEPT_THRESHOLD,
     MessageSpec,
@@ -77,7 +77,7 @@ class TestPauliString:
         assert got.amps[2] == 1.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError, match=r"pauli string length 3 != register size 2"):
             apply_pauli_string(basis_state(2, 0), "XYZ")
 
 
@@ -274,7 +274,7 @@ class TestTamperInTransit:
     def test_direct_wiring_protects_second_hop_message(self):
         cfg = RunConfig(n=4, message=MessageSpec.classical("0110"),
                         wiring=Wiring.DIRECT)
-        with pytest.raises(InvalidChannelError):
+        with pytest.raises(ConfigError, match=r"no message register travels verifier->kgc"):
             tamper_in_transit(
                 cfg, TamperSpec(channel="verifier-kgc", message_pauli="XIII")
             )

@@ -1,5 +1,6 @@
 """Encryption schemes: context validation, roundtrips and matrix-oracle checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from aqs.cipher import (
     signature_ops,
     unsign_layer,
 )
-from aqs.errors import ConfigError, LengthMismatchError
+from aqs.errors import ConfigError
 from aqs.keys import derive_permutation, random_bits, sample_lambda
 from aqs.qstate import StateVector, basis_state, distribution, overlap_sq
 
@@ -77,9 +78,22 @@ class TestContextValidation:
             )
 
     def test_lambda_length_checked(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError, match=r"lambdas must have 4 entries, got 2"):
             EncryptionContext(
                 Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=(0.1, 0.2)
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_angles_finite(self, bad):
+        with pytest.raises(ConfigError, match=r"lambdas must be finite"):
+            EncryptionContext(
+                Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=(0.1, bad, 0.1, 0.1)
+            )
+        with pytest.raises(ConfigError, match=r"thetas must be finite"):
+            EncryptionContext(
+                Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS,
+                thetas=(bad, 0.1, 0.1, 0.1), phis=(0.1,) * 4,
+                euler_mode=EulerMode.GENERAL,
             )
 
     def test_diagonal_mode_pins_theta_phi(self):
@@ -87,11 +101,28 @@ class TestContextValidation:
             Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS
         )
         assert ctx.thetas == (0.0,) * 4 and ctx.phis == (0.0,) * 4
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"diagonal mode fixes theta = phi = 0"):
             EncryptionContext(
                 Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS,
                 thetas=(0.1,) * 4,
             )
+        with pytest.raises(ConfigError, match=r"diagonal mode fixes theta = phi = 0"):
+            EncryptionContext(
+                Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS,
+                phis=(0.0, 0.0, 0.3, 0.0),
+            )
+
+    def test_diagonal_context_replace(self):
+        ctx = EncryptionContext(
+            Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=DEMO_LAMBDAS
+        )
+        lams = (0.4, 0.3, 0.2, 0.1)
+        swapped = dataclasses.replace(ctx, lambdas=lams)
+        assert swapped == EncryptionContext(
+            Scheme.CHAINED_CU, 4, perm=DEMO_PERM, lambdas=lams
+        )
+        with pytest.raises(ConfigError, match=r"diagonal mode fixes theta = phi = 0"):
+            dataclasses.replace(ctx, thetas=(0.0, 0.1, 0.0, 0.0))
 
     def test_general_mode_requires_all_angles(self):
         with pytest.raises(ConfigError):
@@ -169,11 +200,11 @@ class TestRoundtrips:
 
     def test_size_mismatch(self):
         ctx = cu_ctx(3, 1)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError, match=r"context is for n=3, state has n=2"):
             encrypt(make_state(2, 0), ctx)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError, match=r"context is for n=3, state has n=4"):
             decrypt(make_state(4, 0), ctx)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ConfigError, match=r"context is for n=3, state has n=4"):
             run(make_state(4, 0), ctx, [])
 
 

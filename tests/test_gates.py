@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aqs import gates
-from aqs.errors import NotUnitaryError
+from aqs.errors import ConfigError
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -75,7 +75,7 @@ class TestAdjoint:
         np.testing.assert_allclose(g @ gates.adjoint(g), np.eye(2), atol=1e-12)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
+        with pytest.raises(ConfigError, match=r"adjoint requires a unitary 2x2 matrix"):
             gates.adjoint(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 

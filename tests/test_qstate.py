@@ -7,14 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqs import gates
-from aqs.errors import (
-    ControlEqualsTargetError,
-    DimensionMismatchError,
-    EmptyMessageError,
-    NonNormalizedQubitError,
-    QubitOutOfRangeError,
-    ZeroShotsError,
-)
+from aqs.errors import ConfigError
 from aqs.qstate import (
     NORM_ATOL,
     ShotHistogram,
@@ -46,16 +39,21 @@ def make_state(n: int, seed: int) -> StateVector:
 
 class TestConstruction:
     def test_zero_qubits_rejected(self):
-        with pytest.raises(EmptyMessageError):
+        with pytest.raises(ConfigError, match=r"a state needs at least one qubit"):
             StateVector(0, np.array([1.0]))
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"expected 4 amplitudes for n=2"):
             StateVector(2, np.array([1.0, 0.0]))
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(NonNormalizedQubitError):
+        with pytest.raises(ConfigError, match=r"state norm \S+ deviates from 1"):
             StateVector(1, np.array([1.0, 1.0]))
+
+    def test_nan_norm_rejected(self):
+        # abs(nan - 1) > tol is False, so the check must be written the other way.
+        with pytest.raises(ConfigError, match=r"state norm nan deviates from 1"):
+            StateVector(1, np.array([math.nan, 0.0]))
 
     def test_amps_read_only(self):
         s = basis_state(2, 0)
@@ -94,10 +92,14 @@ class TestConstruction:
         np.testing.assert_allclose(s.amps, expected, atol=1e-15)
 
     def test_product_state_errors(self):
-        with pytest.raises(EmptyMessageError):
+        with pytest.raises(ConfigError, match=r"cannot build a product state of zero qubits"):
             init_product_state([])
-        with pytest.raises(NonNormalizedQubitError):
+        with pytest.raises(ConfigError, match=r"qubit 0 amplitudes have norm"):
             init_product_state([(1.0, 1.0)])
+
+    def test_product_state_nan_rejected(self):
+        with pytest.raises(ConfigError, match=r"qubit 1 amplitudes have norm nan"):
+            init_product_state([(1.0, 0.0), (math.nan, 0.0)])
 
 
 class TestGateApplication:
@@ -124,13 +126,13 @@ class TestGateApplication:
 
     def test_qubit_out_of_range(self):
         s = basis_state(2, 0)
-        with pytest.raises(QubitOutOfRangeError):
+        with pytest.raises(ConfigError, match=r"qubit index 2 out of range"):
             apply_single(s, 2, gates.pauli_x())
-        with pytest.raises(QubitOutOfRangeError):
+        with pytest.raises(ConfigError, match=r"target index -1 out of range"):
             apply_controlled(s, 0, -1, gates.pauli_x())
 
     def test_control_equals_target(self):
-        with pytest.raises(ControlEqualsTargetError):
+        with pytest.raises(ConfigError, match=r"control and target both 1"):
             apply_controlled(basis_state(2, 0), 1, 1, gates.pauli_x())
 
     def test_input_state_untouched(self):
@@ -188,7 +190,7 @@ class TestNormsSurviveOpLists:
         assert not np.shares_memory(result.amps, state.amps)
         # The result takes the working copy over without copying it again,
         # and still checks the norm.
-        with pytest.raises(NonNormalizedQubitError):
+        with pytest.raises(ConfigError, match=r"state norm \S+ deviates from 1"):
             apply_ops(state, ops + [("single", (0,), 2 * gates.identity_gate())])
 
 
@@ -208,8 +210,15 @@ class TestOverlap:
         s = make_state(5, 3)
         assert overlap_sq(s, s) <= 1.0
 
+    def test_overlap_clamped_for_any_accepted_state(self):
+        # A norm just inside NORM_ATOL passes construction; its raw self-overlap
+        # is about 1 + 4 * 9e-10, which overlap_sq clamps rather than refuses.
+        s = StateVector(1, np.array([1.0 + 9e-10, 0.0]))
+        assert float(abs(inner_product(s, s)) ** 2) > 1.0 + 1e-9
+        assert overlap_sq(s, s) == 1.0
+
     def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"inner product needs equal sizes"):
             inner_product(basis_state(1, 0), basis_state(2, 0))
 
 
@@ -228,7 +237,7 @@ class TestSampling:
         assert all(len(k) == 3 for k in h1.counts)
 
     def test_zero_shots(self):
-        with pytest.raises(ZeroShotsError):
+        with pytest.raises(ConfigError, match=r"shots must be positive, got 0"):
             sample(basis_state(1, 0), 0, np.random.default_rng(0))
 
     def test_basis_state_samples_one_label(self):
@@ -315,11 +324,11 @@ class TestSwapTest:
         assert ones > 0
 
     def test_sampled_zero_shots(self):
-        with pytest.raises(ZeroShotsError):
+        with pytest.raises(ConfigError, match=r"shots must be positive, got 0"):
             swap_test_sampled(1.0, 0, np.random.default_rng(0))
 
     def test_size_mismatch(self):
         # The overlap the swap test is computed from refuses unequal sizes.
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"inner product needs equal sizes"):
             sampled_swap_test(basis_state(1, 0), basis_state(2, 0), 8,
                               np.random.default_rng(0))

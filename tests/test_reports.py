@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqs.errors import DimensionMismatchError
+from aqs.errors import ConfigError
 from aqs.protocol import MessageSpec, RunConfig, Wiring, run_protocol
 from aqs.qstate import ShotHistogram, basis_state, distribution, sample
 from aqs.reports import (
@@ -174,13 +174,14 @@ class TestCompareHistograms:
         ) == pytest.approx(0.0)
 
     def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError,
+                           match=r"cannot compare distributions over 1 and 2 qubits"):
             compare_histograms(basis_state(1, 0), basis_state(2, 0))
 
     def test_bad_lengths(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"distribution length 3 is not a power of two"):
             compare_histograms(np.array([0.2, 0.3, 0.5]), np.array([1.0, 0.0]))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"distribution has no mass"):
             compare_histograms(np.array([0.0, 0.0]), np.array([1.0, 0.0]))
 
     def test_tv_symmetric_and_bounded(self):
@@ -206,5 +207,5 @@ class TestDistributionCsv:
         np.testing.assert_array_equal(parsed, probs)
 
     def test_bad_length(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ConfigError, match=r"distribution length 3 is not a power of two"):
             distribution_to_csv(np.array([0.2, 0.3, 0.5]))
