@@ -17,6 +17,7 @@ from . import cipher, gates, keys, qstate
 from .cipher import EulerMode, Scheme
 from .errors import ConfigError
 from .protocol import (
+    SIGNER,
     VERIFIER,
     MessageSpec,
     ProtocolSession,
@@ -26,7 +27,6 @@ from .protocol import (
     VerificationOutcome,
     _check_seed,
     run_protocol,
-    signer,
 )
 from .qstate import StateVector
 
@@ -102,7 +102,7 @@ class AttackReport:
 
     def __post_init__(self) -> None:
         if self.accept_count > self.trials:
-            raise ValueError("accept_count cannot exceed trials")
+            raise ConfigError("accept_count cannot exceed trials")
 
     @property
     def accept_rate(self) -> float:
@@ -177,13 +177,12 @@ def _aggregate(scheme: str, euler_mode: str, sigma_class: str,
 # -- Pauli forgery -----------------------------------------------------------------
 
 def honest_package(session: ProtocolSession) -> SignaturePackage:
-    """Complete the configured signer's signing phase on the session's message.
+    """Complete the signer's signing phase on the session's message.
 
     One preparation is both the signed register and the clear copy, as in
     :func:`aqs.protocol.run_protocol`.
     """
-    config = session.config
-    return session.sign(config.signer_index, config.message.prepare())
+    return session.sign(SIGNER.index, session.config.message.prepare())
 
 
 def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
@@ -218,7 +217,7 @@ def _fresh_session(n: int, scheme: Scheme, euler_mode: EulerMode,
     )
     session = ProtocolSession(config)
     session.setup()
-    session.register_lambda(config.signer_index)
+    session.register_lambda(SIGNER.index)
     return session
 
 
@@ -287,7 +286,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
-    true_key = session.ledger.lookup(signer(1).label, "identity-key")
+    true_key = session.ledger.lookup(SIGNER.label, "identity-key")
     blind_key = session.ledger.lookup(VERIFIER.label, "blind-key")
     target_tag = keys.chained_tag(true_key, blind_key)
 
@@ -307,7 +306,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
                     )
                 continue
             pkg = SignaturePackage(
-                signer=signer(1),
+                signer=SIGNER,
                 message=MessageSpec.random_product(n, trial_rng).prepare(),
                 signature=MessageSpec.random_product(n, trial_rng).prepare(),
                 tag=guess_tag,
@@ -315,11 +314,11 @@ def impersonation_attempt(n: int, trials: int, seed: int,
         else:
             # Knowledge of the key (and possibly the angles): a real signature.
             message = MessageSpec.random_product(n, trial_rng).prepare()
-            ctx = session.context_for(1)
+            ctx = session.context_for(SIGNER.index)
             if knowledge == "key":
                 ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
             pkg = SignaturePackage(
-                signer=signer(1),
+                signer=SIGNER,
                 message=message,
                 signature=cipher.make_signature(message, ctx),
                 tag=keys.tag_of_bits(true_key),

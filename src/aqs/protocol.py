@@ -1,4 +1,4 @@
-"""Arbitrated signature protocol: KGC, signers and a verifier as party machines.
+"""Arbitrated signature protocol: KGC, one signer and a verifier as party machines.
 
 One run walks four phases: trusted setup (identity keys over simulated QKD),
 signing-angle registration, signing, and arbiter verification with a stored
@@ -74,10 +74,8 @@ class PartyId:
 
 KGC = PartyId(Role.KGC)
 VERIFIER = PartyId(Role.VERIFIER)
-
-
-def signer(index: int) -> PartyId:
-    return PartyId(Role.SIGNER, index)
+# A run has one signer, as in the paper's three-party arbitrated model.
+SIGNER = PartyId(Role.SIGNER, 1)
 
 
 class Wiring(str, Enum):
@@ -300,8 +298,6 @@ class RunConfig:
     euler_mode: EulerMode = EulerMode.DIAGONAL
     wiring: Wiring = Wiring.RELAY
     verify_mode: VerifyMode = VerifyMode.EXACT
-    num_signers: int = 1
-    signer_index: int = 1
     seed_keys: int = 0
     seed_lambda: int = 0
     seed_shots: int = 0
@@ -329,10 +325,6 @@ class RunConfig:
             raise ConfigError(
                 f"message spec covers {self.message.n} qubits, config says {self.n}"
             )
-        if not 1 <= self.signer_index <= self.num_signers:
-            raise ConfigError(
-                f"signer_index {self.signer_index} outside 1..{self.num_signers}"
-            )
         if self.inject_key_bits is not None and len(self.inject_key_bits) != self.n:
             raise ConfigError("injected key must have one bit per qubit")
         if self.inject_lambdas is not None:
@@ -358,8 +350,10 @@ class RunConfig:
             "euler_mode": self.euler_mode.value,
             "wiring": self.wiring.value,
             "verify_mode": self.verify_mode.value,
-            "num_signers": self.num_signers,
-            "signer_index": self.signer_index,
+            # A run has one signer; the transcript format keeps both keys so
+            # its bytes stay the same.
+            "num_signers": 1,
+            "signer_index": 1,
             "seed_keys": self.seed_keys,
             "seed_lambda": self.seed_lambda,
             "seed_shots": self.seed_shots,
@@ -455,16 +449,12 @@ class Transcript:
 
 # -- the session ------------------------------------------------------------------------
 
-@dataclass
-class _SignerState:
-    key_bits: str
-    lambdas: tuple[float, ...] | None = None
-    # Built at setup for cnot and qotp, at angle registration for cu.
-    ctx: EncryptionContext | None = None
-
-
 class ProtocolSession:
-    """Holds the party secret stores and drives the four phases for one run."""
+    """Holds the party secret stores and drives the four phases for one run.
+
+    Methods that act for the signer take its index, which is always
+    ``SIGNER.index``; any other raises :class:`AqsError`.
+    """
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
@@ -474,37 +464,38 @@ class ProtocolSession:
         self._rng_lambda = np.random.default_rng(config.seed_lambda)
         # Built on first use: most sessions never sample.
         self._rng_shots: np.random.Generator | None = None
-        self._signers: dict[int, _SignerState] = {}
+        self._key_bits: str | None = None
+        self._lambdas: tuple[float, ...] | None = None
+        # Built at setup for cnot and qotp, at angle registration for cu.
+        self._ctx: EncryptionContext | None = None
         self._verifier_key: str | None = None
-        self._proofs: dict[int, SignatureProof] = {}
-        self._direct_messages: dict[int, StateVector] = {}
+        self._proof: SignatureProof | None = None
+        self._direct_message: StateVector | None = None
         self._last_recovered: StateVector | None = None
-        self._is_setup = False
 
     # -- phase 1: trusted setup
 
     def setup(self) -> None:
         cfg = self.config
         n = cfg.n
-        for idx in range(1, cfg.num_signers + 1):
-            if idx == cfg.signer_index and cfg.inject_key_bits is not None:
-                bits = cfg.inject_key_bits
-            else:
-                bits = keys.random_bits(n, self._rng_keys)
-            state = _SignerState(key_bits=bits)
-            self._signers[idx] = state
-            self._record_delivery(signer(idx), "identity-key", bits)
-            if cfg.scheme is Scheme.QOTP:
-                pad = keys.random_bits(2 * n, self._rng_keys)
-                self._record_delivery(signer(idx), "pad-key", pad)
-                state.ctx = EncryptionContext(scheme=cfg.scheme, n=n, qotp_key=pad)
-            elif cfg.scheme is Scheme.CHAINED_CNOT:
-                state.ctx = EncryptionContext(
-                    scheme=cfg.scheme, n=n, perm=keys.derive_permutation(bits)
-                )
-        self._verifier_key = keys.random_bits(n, self._rng_keys)
-        self._record_delivery(VERIFIER, "blind-key", self._verifier_key)
-        self._is_setup = True
+        bits = cfg.inject_key_bits
+        if bits is None:
+            bits = keys.random_bits(n, self._rng_keys)
+        self._record_delivery(SIGNER, "identity-key", bits)
+        ctx = None
+        if cfg.scheme is Scheme.QOTP:
+            pad = keys.random_bits(2 * n, self._rng_keys)
+            self._record_delivery(SIGNER, "pad-key", pad)
+            ctx = EncryptionContext(scheme=cfg.scheme, n=n, qotp_key=pad)
+        elif cfg.scheme is Scheme.CHAINED_CNOT:
+            ctx = EncryptionContext(
+                scheme=cfg.scheme, n=n, perm=keys.derive_permutation(bits)
+            )
+        verifier_key = keys.random_bits(n, self._rng_keys)
+        self._record_delivery(VERIFIER, "blind-key", verifier_key)
+        # Only keys the ledger holds reach the parties: a setup the ledger
+        # refuses leaves the session as it was.
+        self._key_bits, self._ctx, self._verifier_key = bits, ctx, verifier_key
 
     def _record_delivery(self, to: PartyId, purpose: str, bits: str) -> None:
         record = self.ledger.distribute(KGC.label, to.label, purpose, bits)
@@ -515,17 +506,20 @@ class ProtocolSession:
             {"purpose": purpose, "channel": "qkd", "bits": bits, "length": len(bits)},
         )
 
+    def _check_signer(self, index: int | None) -> None:
+        if index != SIGNER.index or self._key_bits is None:
+            raise AqsError(f"no signer {index} in this session")
+
     # -- phase 2: signing-angle registration
 
-    def register_lambda(self, signer_index: int) -> tuple[float, ...]:
-        st = self._signer_state(signer_index)
+    def register_lambda(self, index: int) -> tuple[float, ...]:
+        self._check_signer(index)
         cfg = self.config
         n = cfg.n
-        if signer_index == cfg.signer_index and cfg.inject_lambdas is not None:
-            lams = cfg.inject_lambdas
-        else:
+        lams = cfg.inject_lambdas
+        if lams is None:
             lams = keys.sample_lambda(n, self._rng_lambda)
-        st.lambdas = lams
+        self._lambdas = lams
         payload: dict[str, Any] = {"lambdas": list(lams), "count": n}
         thetas = phis = None
         if cfg.euler_mode is EulerMode.GENERAL:
@@ -534,44 +528,30 @@ class ProtocolSession:
             payload["thetas"] = list(thetas)
             payload["phis"] = list(phis)
         if cfg.scheme is Scheme.CHAINED_CU:
-            st.ctx = EncryptionContext(
-                scheme=cfg.scheme, n=n, perm=keys.derive_permutation(st.key_bits),
+            self._ctx = EncryptionContext(
+                scheme=cfg.scheme, n=n, perm=keys.derive_permutation(self._key_bits),
                 lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
             )
         # The angle transfer rides the authenticated channel, so the arbiter
         # reads the signer's angles from the same record.
-        self.transcript.append(
-            "lambda-registration", signer(signer_index).label, KGC.label, payload
-        )
+        self.transcript.append("lambda-registration", SIGNER.label, KGC.label, payload)
         return lams
 
     # -- shared context construction
 
-    def _signer_state(self, index: int) -> _SignerState:
-        if not self._is_setup or index not in self._signers:
-            raise AqsError(f"no signer {index} in this session")
-        return self._signers[index]
-
-    def context_for(self, signer_index: int) -> EncryptionContext:
-        ctx = self._signer_state(signer_index).ctx
-        if ctx is None:
-            raise AqsError(
-                f"signer {signer_index} has not registered signing angles"
-            )
-        return ctx
+    def context_for(self, index: int) -> EncryptionContext:
+        self._check_signer(index)
+        if self._ctx is None:
+            raise AqsError(f"signer {index} has not registered signing angles")
+        return self._ctx
 
     # -- phase 3: signing
 
-    def sign(self, signer_index: int, message: StateVector) -> SignaturePackage:
-        st = self._signer_state(signer_index)
-        ctx = self.context_for(signer_index)
-        signature = self._run_phase(
-            signer(signer_index).label, message, ctx, cipher.signature_ops(ctx)
-        )
-        tag = keys.tag_of_bits(st.key_bits)
-        pkg = SignaturePackage(
-            signer=signer(signer_index), message=message, signature=signature, tag=tag
-        )
+    def sign(self, index: int, message: StateVector) -> SignaturePackage:
+        ctx = self.context_for(index)
+        signature = self._run_phase(SIGNER.label, message, ctx, cipher.signature_ops(ctx))
+        tag = keys.tag_of_bits(self._key_bits)
+        pkg = SignaturePackage(signer=SIGNER, message=message, signature=signature, tag=tag)
         self.transcript.append(
             "package", pkg.signer.label, VERIFIER.label,
             {"tag": tag, "message_fp": _fingerprint(message),
@@ -607,11 +587,11 @@ class ProtocolSession:
 
     # -- direct wiring: the signer hands the message register to the arbiter
 
-    def send_message_direct(self, signer_index: int, message: StateVector) -> None:
-        self._signer_state(signer_index)
-        self._direct_messages[signer_index] = message
+    def send_message_direct(self, index: int, message: StateVector) -> None:
+        self._check_signer(index)
+        self._direct_message = message
         self.transcript.append(
-            "direct-message", signer(signer_index).label, KGC.label,
+            "direct-message", SIGNER.label, KGC.label,
             {"message_fp": _fingerprint(message)},
         )
 
@@ -643,15 +623,15 @@ class ProtocolSession:
     def kgc_verify(self, fwd: ForwardedPackage) -> VerificationOutcome:
         cfg = self.config
         idx = fwd.signer.index
-        st = self._signer_state(idx)
-        expected = keys.chained_tag(st.key_bits, self._verifier_key)
+        self._check_signer(idx)
+        expected = keys.chained_tag(self._key_bits, self._verifier_key)
         if fwd.tag != expected:
             outcome = VerificationOutcome(accepted=False, stage="hash-check")
             self._finish(fwd, outcome)
             return outcome
         message = fwd.message
         if message is None:
-            message = self._direct_messages.get(idx)
+            message = self._direct_message
         if message is None:
             raise AqsError(
                 "no message register available: relay wiring forwards none and "
@@ -680,9 +660,9 @@ class ProtocolSession:
             pass_probability=pass_probability, swap_ones=ones,
         )
         if outcome.accepted:
-            proof = SignatureProof(signer=fwd.signer, lambdas=st.lambdas or (),
+            proof = SignatureProof(signer=fwd.signer, lambdas=self._lambdas or (),
                                    tag=fwd.tag)
-            self._proofs[idx] = proof
+            self._proof = proof
             self.transcript.append(
                 "proof-stored", KGC.label, KGC.label,
                 {"signer": fwd.signer.label, "lambdas": list(proof.lambdas),
@@ -699,12 +679,10 @@ class ProtocolSession:
 
     # -- dispute resolution
 
-    def arbitrate_dispute(self, signer_index: int) -> SignatureProof:
-        if signer_index not in self._proofs:
-            raise AqsError(
-                f"no accepted signature proof stored for signer {signer_index}"
-            )
-        return self._proofs[signer_index]
+    def arbitrate_dispute(self, index: int) -> SignatureProof:
+        if index != SIGNER.index or self._proof is None:
+            raise AqsError(f"no accepted signature proof stored for signer {index}")
+        return self._proof
 
     @property
     def shots_rng(self) -> np.random.Generator:
@@ -756,21 +734,19 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     """
     session = ProtocolSession(config)
     session.setup()
-    idx = config.signer_index
-    session.register_lambda(idx)
+    session.register_lambda(SIGNER.index)
 
-    alice = signer(idx)
     # The protocol prepares two copies from one recipe: the register to sign
     # and the clear copy the arbiter compares against. States are immutable,
     # so one preparation serves as both.
     message = config.message.prepare()
     session.transcript.append(
-        "prepare-message", alice.label, alice.label,
+        "prepare-message", SIGNER.label, SIGNER.label,
         {"n": config.n, "copies": 2, "message_fp": _fingerprint(message)},
     )
-    session.log_initialize(alice, config.n)
+    session.log_initialize(SIGNER, config.n)
 
-    pkg = session.sign(idx, message)
+    pkg = session.sign(SIGNER.index, message)
 
     tamper = config.tamper
     if tamper is not None and tamper.channel == "signer-verifier":
@@ -780,7 +756,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         pkg = _tamper(pkg, tamper)
 
     if config.wiring is Wiring.DIRECT:
-        session.send_message_direct(idx, pkg.message)
+        session.send_message_direct(SIGNER.index, pkg.message)
 
     fwd = session.verifier_forward(pkg)
     if tamper is not None and tamper.channel == "verifier-kgc":
@@ -805,7 +781,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
                  "distinct_outcomes": len(histogram.counts)},
             )
     if outcome.accepted:
-        proof = session.arbitrate_dispute(idx)
+        proof = session.arbitrate_dispute(SIGNER.index)
 
     return ProtocolResult(
         config=config, session=session, transcript=session.transcript,

@@ -57,7 +57,7 @@ class DepthReport:
 
     def __post_init__(self) -> None:
         if self.asap_depth > self.sequential_depth:
-            raise ValueError(
+            raise ConfigError(
                 f"asap depth {self.asap_depth} exceeds sequential "
                 f"{self.sequential_depth}"
             )

@@ -100,7 +100,7 @@ class TestRandomPauliString:
         assert a == b
 
     def test_unknown_class(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"unknown sigma class 'clifford'"):
             random_pauli_string(4, np.random.default_rng(0), "clifford")
 
     def test_empty_register_rejected(self):
@@ -197,9 +197,9 @@ class TestForgerySweep:
         assert all(r.details is None for r in bare)
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"sweep needs n >= 2, got 1"):
             forgery_sweep(n=1, trials=5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"trials must be positive, got 0"):
             forgery_sweep(n=3, trials=0, seed=0)
 
     def test_negative_seed_rejected(self):
@@ -227,7 +227,7 @@ class TestImpersonation:
         assert report.accept_rate == 1.0
 
     def test_unknown_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"unknown knowledge level 'psychic'"):
             impersonation_attempt(n=4, trials=1, seed=0, knowledge="psychic")
 
     def test_non_positive_trials_rejected(self):
@@ -282,7 +282,7 @@ class TestTamperInTransit:
 
 class TestReportFormats:
     def test_accept_count_bounded(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"accept_count cannot exceed trials"):
             AttackReport(scheme="cu", euler_mode="diagonal", sigma_class="xy",
                          trials=2, accept_count=3)
 

@@ -59,7 +59,7 @@ class TestPauliLookup:
         np.testing.assert_array_equal(gates.pauli(name.lower()), builder())
 
     def test_unknown_letter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"unknown Pauli 'Q'"):
             gates.pauli("Q")
 
     def test_pauli_algebra(self):

@@ -46,7 +46,7 @@ class TestBitStrings:
         assert a == b and len(a) == 64 and set(a) <= {"0", "1"}
 
     def test_random_bits_bad_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"length must be positive, got 0"):
             random_bits(0, np.random.default_rng(0))
 
     def test_xor_exhaustive_small(self):
@@ -72,7 +72,7 @@ class TestBitStrings:
             xor_bits("101", "10")
 
     def test_xor_rejects_junk(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"a must be a nonempty string of 0s and 1s"):
             xor_bits("1a1", "101")
 
 
@@ -160,10 +160,10 @@ class TestPermutation:
         assert list(perm[k:]) == sorted(perm[k:])
 
     def test_bad_bits(self):
-        with pytest.raises(ValueError):
-            derive_permutation("")
-        with pytest.raises(ValueError):
-            derive_permutation("012")
+        for bad in ("", "012"):
+            with pytest.raises(ConfigError, match=rf"bits must be a nonempty string "
+                                                  rf"of 0s and 1s, got '{bad}'"):
+                derive_permutation(bad)
 
 
 class TestPacking:
@@ -210,7 +210,7 @@ class TestHashTags:
             assert hash_tag(b"xyz", n) == long[:n]
 
     def test_bad_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"tag length must be positive, got 0"):
             hash_tag(b"abc", 0)
 
     def test_chained_tag_recomputation(self):
@@ -252,7 +252,7 @@ class TestLambdaSampling:
         assert abs(sum(draws) / len(draws) - math.pi / 2) < 0.02
 
     def test_bad_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"count must be positive, got 0"):
             sample_lambda(0, np.random.default_rng(0))
 
 

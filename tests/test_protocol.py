@@ -18,6 +18,7 @@ from aqs.protocol import (
     KGC,
     MAX_QUBITS,
     MAX_SHOTS,
+    SIGNER,
     VERIFIER,
     ForwardedPackage,
     MessageSpec,
@@ -31,7 +32,6 @@ from aqs.protocol import (
     Wiring,
     _fingerprint,
     run_protocol,
-    signer,
 )
 from aqs.qstate import StateVector, basis_state, overlap_sq
 
@@ -63,7 +63,7 @@ def plain_config(**overrides) -> RunConfig:
 def honest_session(config: RunConfig) -> ProtocolSession:
     session = ProtocolSession(config)
     session.setup()
-    session.register_lambda(config.signer_index)
+    session.register_lambda(1)
     return session
 
 
@@ -71,11 +71,12 @@ class TestParties:
     def test_labels(self):
         assert KGC.label == "kgc"
         assert VERIFIER.label == "verifier"
-        assert signer(3).label == "signer_3"
+        assert SIGNER.label == "signer_1"
+        assert PartyId(Role.SIGNER, 3).label == "signer_3"
 
     def test_signer_needs_positive_index(self):
         with pytest.raises(ConfigError):
-            signer(0)
+            PartyId(Role.SIGNER, 0)
 
     def test_non_signer_takes_no_index(self):
         with pytest.raises(ConfigError):
@@ -117,10 +118,6 @@ class TestRunConfigValidation:
     def test_message_size_must_match(self):
         with pytest.raises(ConfigError):
             RunConfig(n=3, message=MessageSpec.classical("0110"))
-
-    def test_signer_index_in_range(self):
-        with pytest.raises(ConfigError):
-            plain_config(num_signers=2, signer_index=3)
 
     def test_injected_key_length(self):
         with pytest.raises(ConfigError):
@@ -190,39 +187,55 @@ class TestTamperSpec:
 class TestSetup:
     def test_injected_key_fixes_permutation(self):
         session = honest_session(demo_config())
-        st = session._signers[1]
-        assert st.key_bits == "1010"
-        assert st.ctx.perm == (1, 3, 0, 2)
+        assert session._key_bits == "1010"
+        assert session._ctx.perm == (1, 3, 0, 2)
 
     def test_deterministic_across_sessions(self):
         a = honest_session(plain_config())
         b = honest_session(plain_config())
-        assert a._signers[1].key_bits == b._signers[1].key_bits
+        assert a._key_bits == b._key_bits
         assert a._verifier_key == b._verifier_key
 
     def test_seed_changes_keys(self):
         a = honest_session(plain_config())
         b = honest_session(plain_config(seed_keys=99))
-        assert (
-            a._signers[1].key_bits != b._signers[1].key_bits
-            or a._verifier_key != b._verifier_key
-        )
-
-    def test_all_signers_get_keys(self):
-        session = honest_session(plain_config(num_signers=3, signer_index=2))
-        assert set(session._signers) == {1, 2, 3}
-        for idx in (1, 2, 3):
-            assert session.ledger.lookup(f"signer_{idx}", "identity-key")
+        assert a._key_bits != b._key_bits or a._verifier_key != b._verifier_key
 
     def test_qotp_gets_pad_key(self):
         session = honest_session(plain_config(scheme=Scheme.QOTP))
-        assert len(session._signers[1].ctx.qotp_key) == 8
-        assert session.ledger.lookup("signer_1", "pad-key") == session._signers[1].ctx.qotp_key
+        assert len(session._ctx.qotp_key) == 8
+        assert session.ledger.lookup("signer_1", "pad-key") == session._ctx.qotp_key
 
     def test_unknown_signer(self):
         session = honest_session(plain_config())
-        with pytest.raises(AqsError, match=r"no signer 7 in this session"):
-            session.sign(7, plain_config().message.prepare())
+        msg = plain_config().message.prepare()
+        other = dataclasses.replace(session.verifier_forward(session.sign(1, msg)),
+                                    signer=PartyId(Role.SIGNER, 2))
+        calls = [
+            (7, lambda: session.sign(7, msg)),
+            (2, lambda: session.register_lambda(2)),
+            (2, lambda: session.context_for(2)),
+            (2, lambda: session.send_message_direct(2, msg)),
+            (2, lambda: session.kgc_verify(other)),
+        ]
+        for index, call in calls:
+            with pytest.raises(AqsError, match=rf"no signer {index} in this session"):
+                call()
+        assert session.transcript.outcome is None
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_refused_second_setup_keeps_delivered_keys(self, scheme):
+        cfg = plain_config(scheme=scheme)
+        session = honest_session(cfg)
+        before = (session._key_bits, session._ctx, session._verifier_key)
+        events = len(session.transcript.events)
+        with pytest.raises(AqsError, match=r"'identity-key' already delivered"):
+            session.setup()
+        assert (session._key_bits, session._ctx, session._verifier_key) == before
+        assert session._key_bits == session.ledger.lookup("signer_1", "identity-key")
+        assert len(session.transcript.events) == events
+        pkg = session.sign(1, cfg.message.prepare())
+        assert session.kgc_verify(session.verifier_forward(pkg)).accepted
 
     def test_sign_before_setup(self):
         session = ProtocolSession(plain_config())
@@ -244,20 +257,13 @@ class TestLambdaRegistration:
         lams = session.register_lambda(1)
         assert lams == DEMO_LAMBDAS
 
-    def test_injection_reaches_only_the_configured_signer(self):
-        cfg = plain_config(num_signers=2, signer_index=2, inject_lambdas=(0.1,) * 4)
-        session = ProtocolSession(cfg)
-        session.setup()
-        assert session.register_lambda(2) == (0.1,) * 4
-        assert session.register_lambda(1) != (0.1,) * 4
-
     def test_reregistration_replaces_but_logs_both(self):
         session = ProtocolSession(plain_config())
         session.setup()
         first = session.register_lambda(1)
         second = session.register_lambda(1)
         assert first != second
-        assert session._signers[1].lambdas == second
+        assert session._lambdas == second
         events = [e for e in session.transcript.events
                   if e["type"] == "lambda-registration"]
         assert len(events) == 2
@@ -266,10 +272,10 @@ class TestLambdaRegistration:
         session = ProtocolSession(plain_config(euler_mode=EulerMode.GENERAL))
         session.setup()
         session.register_lambda(1)
-        st = session._signers[1]
-        assert len(st.ctx.thetas) == 4 and len(st.ctx.phis) == 4
-        assert all(0.0 <= t <= math.pi for t in st.ctx.thetas)
-        assert all(0.0 <= p <= 2 * math.pi for p in st.ctx.phis)
+        ctx = session._ctx
+        assert len(ctx.thetas) == 4 and len(ctx.phis) == 4
+        assert all(0.0 <= t <= math.pi for t in ctx.thetas)
+        assert all(0.0 <= p <= 2 * math.pi for p in ctx.phis)
 
     def test_missing_lambda_blocks_signing(self):
         session = ProtocolSession(plain_config())
@@ -384,8 +390,8 @@ class TestForwardAndVerify:
         session.setup()
         msg = cfg.message.prepare()
         pkg = SignaturePackage(
-            signer=signer(1), message=msg, signature=msg,
-            tag=tag_of_bits(session._signers[1].key_bits),
+            signer=SIGNER, message=msg, signature=msg,
+            tag=tag_of_bits(session._key_bits),
         )
         fwd = session.verifier_forward(pkg)
         with pytest.raises(AqsError, match=r"signer 1 has not registered signing angles"):
@@ -409,8 +415,10 @@ class TestForwardAndVerify:
         pkg = session.sign(1, cfg.message.prepare())
         session.kgc_verify(session.verifier_forward(pkg))
         proof = session.arbitrate_dispute(1)
-        assert proof.signer == signer(1)
-        assert proof.lambdas == session._signers[1].lambdas
+        with pytest.raises(AqsError, match=r"no accepted signature proof stored for signer 2"):
+            session.arbitrate_dispute(2)
+        assert proof.signer == SIGNER
+        assert proof.lambdas == session._lambdas
 
 
 def phase_events(session: ProtocolSession, run_phase):
@@ -609,6 +617,8 @@ class TestTranscriptSerialization:
         text = run_protocol(plain_config(), sample_histogram=False).transcript.to_json()
         parsed = json.loads(text)
         assert json.dumps(parsed, sort_keys=True, separators=(",", ":")) == text
+        # A run has one signer, and the config payload still says so.
+        assert '"num_signers":1' in text and '"signer_index":1' in text
 
     def test_summary_csv(self):
         t = run_protocol(plain_config(), sample_histogram=False).transcript

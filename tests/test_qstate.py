@@ -77,11 +77,11 @@ class TestConstruction:
         assert s.amps[2] == 1.0
 
     def test_basis_state_bad_label(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"label '01' is not an 3-bit string"):
             basis_state(3, "01")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"label '0a1' is not an 3-bit string"):
             basis_state(3, "0a1")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"basis index 8 out of range for n=3"):
             basis_state(3, 8)
 
     def test_product_state_matches_kron(self):
@@ -263,15 +263,15 @@ class TestSampling:
         assert again == h
 
     def test_csv_rejects_bad_header(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"expected header line 'basis_label,count'"):
             ShotHistogram.from_csv("label,count\n00,5\n")
 
     def test_csv_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"histogram has no rows"):
             ShotHistogram.from_csv("basis_label,count\n")
 
     def test_csv_rejects_mixed_widths(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"inconsistent basis labels in histogram"):
             ShotHistogram.from_csv("basis_label,count\n00,5\n010,3\n")
 
 

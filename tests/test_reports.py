@@ -107,7 +107,7 @@ class TestDepth:
             assert asap_depth(ops) <= sequential_depth(ops)
 
     def test_depth_report_invariant_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"asap depth 5 exceeds sequential 2"):
             DepthReport(sequential_depth=2, asap_depth=5)
 
     def test_empty_ops(self):
