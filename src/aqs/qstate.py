@@ -17,6 +17,7 @@ state's amplitudes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -26,6 +27,12 @@ from . import kernels
 from .errors import ConfigError
 
 NORM_ATOL = 1e-9
+
+# Full single-qubit gates are fused over aligned groups of this many qubits.
+# On 2 cores with numpy 2.4.6, one layer of 16 gates at n = 16 took 9.9 ms
+# gate by gate and 5.2, 6.7, 3.2, 4.6, 3.6 and 9.0 ms in groups of 2, 3, 4,
+# 5, 6 and 8 qubits.
+BLOCK_QUBITS = 4
 
 # Swap-test defaults: accept only if no shot lands on ancilla=1.
 SWAP_TEST_SHOTS = 64
@@ -103,7 +110,7 @@ def basis_state(n: int, label: int | str) -> StateVector:
     """Computational basis state; label is an index or a bit string."""
     if isinstance(label, str):
         if len(label) != n or any(ch not in "01" for ch in label):
-            raise ConfigError(f"label {label!r} is not an {n}-bit string")
+            raise ConfigError(f"label {label!r} is not a bit string of length {n}")
         index = int(label, 2)
     else:
         index = int(label)
@@ -126,22 +133,64 @@ def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> State
             raise ConfigError(
                 f"qubit {i} amplitudes have norm {norm}, expected 1"
             )
-        # The same products as np.kron(amps, pair), without its reshaping.
-        amps = np.multiply.outer(amps, pair).ravel()
+        # The same products as np.kron(amps, pair), with the same bytes on
+        # either path. np.multiply.outer runs an inner loop of length 2: past
+        # 64 amplitudes, writing each column in one pass is faster.
+        if amps.shape[0] <= 64:
+            amps = np.multiply.outer(amps, pair).ravel()
+        else:
+            out = np.empty((amps.shape[0], 2), dtype=np.complex128)
+            np.multiply(amps, pair[0], out=out[:, 0])
+            np.multiply(amps, pair[1], out=out[:, 1])
+            amps = out.ravel()
     return StateVector(len(qubit_states), _HandedOver(amps))
+
+
+def _apply_run(amps: np.ndarray, n: int, run: dict[int, np.ndarray]) -> None:
+    """Apply a run of full single-qubit gates on distinct qubits, which
+    commute, one aligned block of ``BLOCK_QUBITS`` qubits at a time, and
+    empty ``run``."""
+    for _, block in itertools.groupby(sorted(run), lambda q: q // BLOCK_QUBITS):
+        qubits = list(block)
+        first, last = qubits[0], qubits[-1]
+        if first == last:
+            kernels.apply_single_inplace(amps, _mask(n, first), run[first])
+            continue
+        eye = np.eye(2, dtype=np.complex128)
+        kernels.apply_block_inplace(
+            amps, _mask(n, last), [run.get(q, eye) for q in range(first, last + 1)]
+        )
+    run.clear()
 
 
 def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
     """Apply a list of gates in order on one working copy; returns a new state
-    that keeps that copy as its buffer."""
+    that keeps that copy as its buffer.
+
+    Consecutive single-qubit gates that take the full 2x2 update (see
+    :func:`aqs.kernels.is_full`) on distinct qubits are collected into a run,
+    which is applied as one block matmul per aligned group of
+    ``BLOCK_QUBITS`` qubits; a group with one gate keeps the single-qubit
+    kernel. Any other gate, or a second gate on a qubit of the run, ends it.
+    """
     n = state.n
     amps = state.working_copy()
+    run: dict[int, np.ndarray] = {}
     for _, qubits, gate in ops:
         gate = np.asarray(gate)
         if len(qubits) == 1:
-            mask = _mask(n, _check_qubit(n, qubits[0]))
-            kernels.apply_single_inplace(amps, mask, gate)
+            qubit = _check_qubit(n, qubits[0])
+            if kernels.is_full(gate):
+                if qubit in run:
+                    _apply_run(amps, n, run)
+                run[qubit] = gate
+                continue
+            if run:
+                _apply_run(amps, n, run)
+            kernels.apply_single_inplace(amps, _mask(n, qubit), gate)
             continue
+        if run:
+            _apply_run(amps, n, run)
         control, target = qubits
         _check_qubit(n, control, "control")
         _check_qubit(n, target, "target")
@@ -152,6 +201,8 @@ def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
         kernels.apply_controlled_inplace(
             amps, _mask(n, control), _mask(n, target), gate
         )
+    if run:
+        _apply_run(amps, n, run)
     return StateVector(n, _HandedOver(amps))
 
 
@@ -172,7 +223,9 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
         raise ConfigError(
             f"inner product needs equal sizes, got n={a.n} and n={b.n}"
         )
-    return complex(np.vdot(a.amps, b.amps))
+    # numpy's own pairwise sum: np.vdot hands the sum to BLAS, which splits it
+    # by thread count, so its last bits depend on how many threads BLAS has.
+    return complex((a.amps.conj() * b.amps).sum())
 
 
 def overlap_sq(a: StateVector, b: StateVector) -> float:

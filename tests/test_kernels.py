@@ -14,7 +14,7 @@ from aqs.gates import (
     u_gate,
 )
 
-from oracles import controlled_matrix, random_state, single_matrix
+from oracles import controlled_matrix, kron_chain, random_state, single_matrix
 
 
 def _mask(n, q):
@@ -290,3 +290,43 @@ class TestStructuredGatesTouchOnlyTheirHalves:
                 kernels.apply_controlled_inplace(amps, _mask(n, c), _mask(n, t), gate)
                 kept = ((index & _mask(n, c)) == 0) | ((index & _mask(n, t)) == 0)
                 assert amps[kept].tobytes() == state[kept].tobytes()
+
+
+class TestBlock:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_position_and_size(self, n):
+        # Blocks at the first qubits, the last qubits, in between and over
+        # the whole register, each against the Kronecker product.
+        rng = np.random.default_rng(n)
+        for k in range(2, min(n, 5) + 1):
+            for first in range(n - k + 1):
+                block = [u_gate(*rng.uniform(0, 3.1, size=3)) for _ in range(k)]
+                full = kron_chain([np.eye(2 ** first), *block,
+                                   np.eye(2 ** (n - first - k))])
+                state = random_state(n, rng)
+                amps = state.copy()
+                kernels.apply_block_inplace(amps, _mask(n, first + k - 1), block)
+                np.testing.assert_allclose(amps, full @ state, rtol=0, atol=1e-12)
+
+    def test_matches_single_kernels_with_structured_gates(self):
+        # is_full keeps these out of blocks in apply_ops, but the block
+        # kernel itself takes any gate.
+        gates = list(structured_gates().values())[:4]
+        rng = np.random.default_rng(2)
+        state = random_state(6, rng)
+        got, want = state.copy(), state.copy()
+        kernels.apply_block_inplace(got, _mask(6, 4), gates)
+        for q, gate in zip(range(1, 5), gates):
+            kernels.apply_single_inplace(want, _mask(6, q), gate)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestIsFull:
+    @pytest.mark.parametrize("name", GATE_NAMES)
+    def test_only_general_gates_are_full(self, name):
+        assert kernels.is_full(structured_gates()[name]) == (name == "general")
+
+    def test_tiny_entries_are_full(self):
+        # The same rule as the single and controlled kernels: exact zeros only.
+        assert kernels.is_full(np.array([[1, 1e-300], [1e-300, 1]]))
+        assert kernels.is_full(np.array([[1e-300, 1], [1, 1e-300]]))

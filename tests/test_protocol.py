@@ -4,8 +4,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -630,6 +634,31 @@ class TestTranscriptSerialization:
         assert fields[4] == "true"
         assert fields[5] == "state-compare"
         assert float(fields[6]) >= EXACT_ACCEPT_THRESHOLD
+
+    def test_independent_of_blas_thread_count(self):
+        # At n >= 14 OpenBLAS splits a dot product's sum by thread count: with
+        # np.vdot this run's overlap_sq was 0.9999999999999984 on one thread
+        # and 1.0 on two. The run also takes the fused block kernel.
+        code = (
+            "import hashlib\n"
+            "from numpy.random import default_rng\n"
+            "from aqs.protocol import MessageSpec, RunConfig, run_protocol\n"
+            "r = run_protocol(RunConfig(\n"
+            "    n=16, message=MessageSpec.random_product(16, default_rng(2)),\n"
+            "    euler_mode='general', seed_keys=2, seed_lambda=3, seed_shots=2))\n"
+            "print(hashlib.sha256(r.transcript.to_json().encode()).hexdigest())\n"
+            "print(hashlib.sha256(r.recovered_state.amps.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env={**os.environ, "PYTHONPATH": src,
+                                 "OPENBLAS_NUM_THREADS": str(threads)},
+            ).stdout
+            for threads in (1, 2)
+        ]
+        assert outputs[0] == outputs[1]
 
     def test_fingerprints_present_not_amplitudes(self):
         t = run_protocol(demo_config()).transcript

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqs import gates
+from aqs import gates, kernels
+from aqs.cipher import EncryptionContext, inverse_ops, signature_ops
 from aqs.errors import ConfigError
 from aqs.qstate import (
+    BLOCK_QUBITS,
     NORM_ATOL,
     ShotHistogram,
     StateVector,
@@ -77,9 +79,9 @@ class TestConstruction:
         assert s.amps[2] == 1.0
 
     def test_basis_state_bad_label(self):
-        with pytest.raises(ConfigError, match=r"label '01' is not an 3-bit string"):
+        with pytest.raises(ConfigError, match=r"label '01' is not a bit string of length 3"):
             basis_state(3, "01")
-        with pytest.raises(ConfigError, match=r"label '0a1' is not an 3-bit string"):
+        with pytest.raises(ConfigError, match=r"label '0a1' is not a bit string of length 3"):
             basis_state(3, "0a1")
         with pytest.raises(ConfigError, match=r"basis index 8 out of range for n=3"):
             basis_state(3, 8)
@@ -100,6 +102,30 @@ class TestConstruction:
     def test_product_state_nan_rejected(self):
         with pytest.raises(ConfigError, match=r"qubit 1 amplitudes have norm nan"):
             init_product_state([(1.0, 0.0), (math.nan, 0.0)])
+
+
+def outer_chain(pairs) -> np.ndarray:
+    """init_product_state's amplitudes as np.multiply.outer built them."""
+    amps = np.array([1.0], dtype=np.complex128)
+    for pair in pairs:
+        amps = np.multiply.outer(amps, np.array(pair, dtype=np.complex128)).ravel()
+    return amps
+
+
+qubit_pairs = st.one_of(
+    st.builds(lambda t, p: (math.cos(t), complex(math.cos(p), math.sin(p)) * math.sin(t)),
+              st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+    st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1j), (1 / math.sqrt(2), -1 / math.sqrt(2)),
+                     (complex(-0.0, 1), 0)]),
+)
+
+
+class TestProductStateBytes:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(qubit_pairs, min_size=1, max_size=12))
+    def test_same_bytes_as_outer_chain(self, pairs):
+        amps = init_product_state(pairs).amps
+        assert amps.tobytes() == outer_chain(pairs).tobytes()
 
 
 class TestGateApplication:
@@ -192,6 +218,132 @@ class TestNormsSurviveOpLists:
         # and still checks the norm.
         with pytest.raises(ConfigError, match=r"state norm \S+ deviates from 1"):
             apply_ops(state, ops + [("single", (0,), 2 * gates.identity_gate())])
+
+
+def per_gate(state: StateVector, ops) -> np.ndarray:
+    """The reference for apply_ops: every gate through its own kernel, in order."""
+    n = state.n
+    amps = state.working_copy()
+    for _, qubits, gate in ops:
+        masks = [1 << (n - 1 - q) for q in qubits]
+        if len(qubits) == 1:
+            kernels.apply_single_inplace(amps, masks[0], np.asarray(gate))
+        else:
+            kernels.apply_controlled_inplace(amps, *masks, np.asarray(gate))
+    return amps
+
+
+full_gates = st.builds(gates.u_gate, st.floats(0.1, 3.0), angles, angles)
+structured_gates = st.one_of(
+    st.builds(gates.u_gate, st.just(0.0), st.just(0.0), angles),
+    st.sampled_from("IXYZ").map(gates.pauli),
+)
+
+
+@st.composite
+def mixed_op_lists(draw, singles=st.one_of(full_gates, structured_gates)):
+    """A state on n <= 9 qubits and ops of every kind: whole layers of single
+    gates in a random qubit order, lone single gates (repeated qubits too) and
+    controlled gates."""
+    n = draw(st.integers(1, 9))
+    state = make_state(n, draw(st.integers(0, 2 ** 32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["layer", "single", "controlled"]))
+        if kind == "layer":
+            for q in draw(st.permutations(range(n)))[:draw(st.integers(1, n))]:
+                ops.append(("u", (q,), draw(singles)))
+        elif kind == "single" or n == 1:
+            ops.append(("u", (draw(st.integers(0, n - 1)),), draw(singles)))
+        else:
+            control, target = draw(st.permutations(range(n)))[:2]
+            gate = draw(st.one_of(full_gates, structured_gates))
+            ops.append(("cu", (control, target), gate))
+    return state, ops
+
+
+def unfused_contexts(n: int, rng: np.random.Generator):
+    """Contexts whose op lists hold no full single-qubit gate."""
+    perm = tuple(int(p) for p in rng.permutation(n))
+    key = "".join(rng.choice(list("01"), size=2 * n))
+    return [
+        EncryptionContext("cu", n, perm=perm, lambdas=tuple(rng.uniform(0, 6, n))),
+        EncryptionContext("cnot", n, perm=perm),
+        EncryptionContext("qotp", n, qotp_key=key),
+    ]
+
+
+class TestBlockFusion:
+    @settings(max_examples=200, deadline=None)
+    @given(case=mixed_op_lists())
+    def test_matches_per_gate_loop(self, case):
+        state, ops = case
+        np.testing.assert_allclose(apply_ops(state, ops).amps, per_gate(state, ops),
+                                   rtol=0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=mixed_op_lists(singles=structured_gates))
+    def test_same_bytes_without_full_single_gates(self, case):
+        state, ops = case
+        assert apply_ops(state, ops).amps.tobytes() == per_gate(state, ops).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 9])
+    def test_diagonal_cnot_and_qotp_keep_their_bytes(self, n):
+        rng = np.random.default_rng(n)
+        state = make_state(n, n)
+        for ctx in unfused_contexts(n, rng):
+            for ops in (signature_ops(ctx), inverse_ops(signature_ops(ctx))):
+                want = per_gate(state, ops).tobytes()
+                assert apply_ops(state, ops).amps.tobytes() == want
+
+    def test_general_signature_is_fused(self, monkeypatch):
+        blocks = []
+        real = kernels.apply_block_inplace
+        monkeypatch.setattr(kernels, "apply_block_inplace",
+                            lambda amps, mask, gs: blocks.append(len(gs)) or real(amps, mask, gs))
+        rng = np.random.default_rng(3)
+        n = 10
+        ctx = EncryptionContext(
+            "cu", n, perm=tuple(int(p) for p in rng.permutation(n)),
+            lambdas=tuple(rng.uniform(0, 6, n)), thetas=tuple(rng.uniform(0.1, 3, n)),
+            phis=tuple(rng.uniform(0, 6, n)), euler_mode="general",
+        )
+        state = make_state(n, 3)
+        ops = signature_ops(ctx)
+        np.testing.assert_allclose(apply_ops(state, ops).amps, per_gate(state, ops),
+                                   rtol=0, atol=1e-12)
+        # Qubits 0-3, 4-7 and the partial last block 8-9.
+        assert blocks == [BLOCK_QUBITS, BLOCK_QUBITS, 2]
+
+    def test_lone_full_gate_takes_single_kernel(self, monkeypatch):
+        singles, blocks = [], []
+        real_single, real_block = kernels.apply_single_inplace, kernels.apply_block_inplace
+        monkeypatch.setattr(kernels, "apply_single_inplace",
+                            lambda amps, mask, g: singles.append(mask) or real_single(amps, mask, g))
+        monkeypatch.setattr(kernels, "apply_block_inplace",
+                            lambda amps, mask, gs: blocks.append((mask, len(gs))) or real_block(amps, mask, gs))
+        n = 9
+        g = gates.u_gate(0.7, 0.2, 1.1)
+        # Qubit 1 is alone in block 0-3 and qubit 8 in the last block; qubits
+        # 4 and 6 share block 4-7, with the identity on qubit 5.
+        ops = [("u", (q,), g) for q in (6, 1, 8, 4)]
+        state = make_state(n, 1)
+        apply_ops(state, ops)
+        assert sorted(singles) == [1 << (n - 1 - 8), 1 << (n - 1 - 1)]
+        assert blocks == [(1 << (n - 1 - 6), 3)]
+
+    def test_repeated_qubit_ends_the_run(self, monkeypatch):
+        blocks = []
+        real = kernels.apply_block_inplace
+        monkeypatch.setattr(kernels, "apply_block_inplace",
+                            lambda amps, mask, gs: blocks.append(len(gs)) or real(amps, mask, gs))
+        g, h = gates.u_gate(0.7, 0.2, 1.1), gates.u_gate(1.9, 0.4, 0.3)
+        # h then g on qubit 0 do not commute, so they must not share a block.
+        ops = [("u", (0,), g), ("u", (1,), g), ("u", (0,), h), ("u", (1,), h)]
+        state = make_state(2, 4)
+        np.testing.assert_allclose(apply_ops(state, ops).amps, per_gate(state, ops),
+                                   rtol=0, atol=1e-12)
+        assert blocks == [2, 2]
 
 
 class TestOverlap:
