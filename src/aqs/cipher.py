@@ -22,6 +22,10 @@ list: the same entries in reversed order, each matrix replaced by its
 adjoint and ``cu``/``u`` renamed ``cu_adjoint``/``u_adjoint`` (the other
 names stay, as those gates are their own inverses). :func:`run` runs any
 such list on a state of the context's size.
+
+Every matrix in these lists is read-only, so a list can be built once and run
+many times, as a protocol session does. Entries that share a gate share one
+matrix, and :func:`inverse_ops` takes its adjoint once.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -129,11 +134,16 @@ class EncryptionContext:
 
 # -- op lists -----------------------------------------------------------------------
 
+def _read_only(gate: np.ndarray) -> np.ndarray:
+    gate.setflags(write=False)
+    return gate
+
+
 def encryption_ops(ctx: EncryptionContext) -> list[Op]:
     """The scheme's encryption circuit, in application order."""
     if ctx.scheme is Scheme.QOTP:
-        z = gates.pauli_z()
-        x = gates.pauli_x()
+        z = _read_only(gates.pauli_z())
+        x = _read_only(gates.pauli_x())
         ops: list[Op] = []
         for j in range(ctx.n):
             if ctx.qotp_key[2 * j] == "1":
@@ -142,40 +152,46 @@ def encryption_ops(ctx: EncryptionContext) -> list[Op]:
                 ops.append(("x", (j,), x))
         return ops
     if ctx.scheme is Scheme.CHAINED_CNOT:
-        x = gates.pauli_x()
+        x = _read_only(gates.pauli_x())
         return [("cnot", (j, t), x) for j, t in enumerate(ctx.perm) if t != j]
-    return [
-        ("cu", (j, t), ctx.rotation(j)) for j, t in enumerate(ctx.perm) if t != j
-    ]
+    # The cu chain is the signature less its signing layer.
+    return signature_ops(ctx)[:-ctx.n]
 
 
 def signing_ops(ctx: EncryptionContext) -> list[Op]:
     """The cu scheme's local signing layer U(theta_j, phi_j, lambda_j)."""
     if ctx.scheme is not Scheme.CHAINED_CU:
         raise ConfigError("the signing layer is defined for the cu scheme only")
-    return [("u", (j,), ctx.rotation(j)) for j in range(ctx.n)]
+    return signature_ops(ctx)[-ctx.n:]
 
 
 def signature_ops(ctx: EncryptionContext) -> list[Op]:
-    """Encryption, then the signing layer for the cu scheme."""
-    ops = encryption_ops(ctx)
-    if ctx.scheme is Scheme.CHAINED_CU:
-        ops += signing_ops(ctx)
-    return ops
+    """Encryption, then the signing layer for the cu scheme, where slot j's
+    rotation is built once for its ``cu`` and its ``u`` entry."""
+    if ctx.scheme is not Scheme.CHAINED_CU:
+        return encryption_ops(ctx)
+    rotations = [_read_only(ctx.rotation(j)) for j in range(ctx.n)]
+    chain = [("cu", (j, t), rotations[j]) for j, t in enumerate(ctx.perm) if t != j]
+    return chain + [("u", (j,), u) for j, u in enumerate(rotations)]
 
 
 _ADJOINT_NAMES = {"cu": "cu_adjoint", "u": "u_adjoint"}
 
 
-def inverse_ops(ops: list[Op]) -> list[Op]:
-    """The circuit that undoes ``ops``: reversed order, adjoint matrices."""
-    return [
-        (_ADJOINT_NAMES.get(name, name), qubits, gates.adjoint(gate))
-        for name, qubits, gate in reversed(ops)
-    ]
+def inverse_ops(ops: Sequence[Op]) -> list[Op]:
+    """The circuit that undoes ``ops``: reversed order, adjoint matrices; the
+    adjoint of a matrix that several entries share is taken once."""
+    adjoints: dict[int, np.ndarray] = {}
+    inverse = []
+    for name, qubits, gate in reversed(ops):
+        adj = adjoints.get(id(gate))
+        if adj is None:
+            adj = adjoints[id(gate)] = _read_only(gates.adjoint(gate))
+        inverse.append((_ADJOINT_NAMES.get(name, name), qubits, adj))
+    return inverse
 
 
-def run(state: StateVector, ctx: EncryptionContext, circuit: list[Op]) -> StateVector:
+def run(state: StateVector, ctx: EncryptionContext, circuit: Sequence[Op]) -> StateVector:
     """Run ``circuit`` on ``state``, which must have the context's n qubits."""
     if state.n != ctx.n:
         raise ConfigError(

@@ -20,15 +20,17 @@ A gate ``[[u00, u01], [u10, u11]]`` takes one of three paths, chosen by
 The structured paths compute the same products as the full update, scalar
 first, so every nonzero real or imaginary part keeps its bytes; they only skip
 adding the exact zeros ``0 * a``, which can change the sign of a zero part.
+:func:`aqs.qstate.apply_ops` reads each gate's entries and picks its path
+once, then hands both to the kernel.
 
 Full single-qubit gates on adjacent qubits can also be applied together.
 :func:`apply_block_inplace` builds the Kronecker product of ``k`` such gates,
 a ``2**k x 2**k`` matrix, and applies it as one ``matmul`` over the
 amplitudes viewed as ``(rows, 2**k, mask)``: a 2-D product when the block
 holds the first or the last qubits, a batched one only in between.
-:func:`aqs.qstate.apply_ops` groups runs of full gates into such blocks and
-asks :func:`is_full` which gates those are, so diagonal and anti-diagonal
-gates are never fused and keep the bytes of their own paths.
+:func:`aqs.qstate.apply_ops` groups runs of gates whose path is ``FULL``
+into such blocks, so diagonal and anti-diagonal gates are never fused and keep
+the bytes of their own paths.
 
 Index convention: qubit 0 is the most significant bit of the basis label, so
 qubit ``q`` of an ``n``-qubit register corresponds to the bit mask
@@ -60,17 +62,10 @@ def _path(entries: list[list[complex]]) -> str:
     return FULL
 
 
-def is_full(gate: np.ndarray) -> bool:
-    """True when ``gate`` takes the full 2x2 update, the only single-qubit
-    gates that :func:`apply_block_inplace` may fuse."""
-    return _path(gate.tolist()) == FULL
-
-
-def _update(a0: np.ndarray, a1: np.ndarray, gate: np.ndarray) -> None:
-    """Apply ``gate`` to the pair of halves ``(a0, a1)``, two views of one array."""
-    entries = gate.tolist()
+def _update(a0: np.ndarray, a1: np.ndarray, entries: list[list[complex]],
+            path: str) -> None:
+    """Apply a gate to the pair of halves ``(a0, a1)``, two views of one array."""
     (u00, u01), (u10, u11) = entries
-    path = _path(entries)
     # Products are written ``u * a`` into a fresh array, as the full update
     # does: ``a * u`` and ``np.multiply(u, a, out=a)`` on one element round
     # differently.
@@ -89,17 +84,23 @@ def _update(a0: np.ndarray, a1: np.ndarray, gate: np.ndarray) -> None:
         a1[...] = u10 * old0 + u11 * a1
 
 
-def apply_single_inplace(amps: np.ndarray, mask: int, gate: np.ndarray) -> None:
-    """Apply ``gate`` to the qubit selected by ``mask``, mutating ``amps``."""
+def apply_single_inplace(amps: np.ndarray, mask: int, entries: list[list[complex]],
+                         path: str) -> None:
+    """Apply a gate to the qubit selected by ``mask``, mutating ``amps``.
+
+    ``entries`` is the 2x2 gate as nested lists, ``gate.tolist()``, and
+    ``path`` is :func:`_path` of them.
+    """
     dim = amps.shape[0]
     # Axis layout (blocks, 2, mask): the middle axis is the selected bit.
     view = amps.reshape(dim // (2 * mask), 2, mask)
-    _update(view[:, 0, :], view[:, 1, :], gate)
+    _update(view[:, 0, :], view[:, 1, :], entries, path)
 
 
 def apply_controlled_inplace(amps: np.ndarray, cmask: int, tmask: int,
-                             gate: np.ndarray) -> None:
-    """Apply controlled-``gate`` with the given bit masks, mutating ``amps``.
+                             entries: list[list[complex]], path: str) -> None:
+    """Apply a controlled gate with the given bit masks, mutating ``amps``;
+    ``entries`` and ``path`` are as in :func:`apply_single_inplace`.
 
     Only the control = 1 half of the amplitudes is read or written; a
     diagonal gate touches only the control = 1, target = 1 quarter.
@@ -111,10 +112,10 @@ def apply_controlled_inplace(amps: np.ndarray, cmask: int, tmask: int,
     view = amps.reshape(dim // (2 * high), 2, high // (2 * low), 2, low)
     if cmask == high:
         on = view[:, 1]  # (blocks, middle, 2, low): target is axis 2
-        _update(on[:, :, 0], on[:, :, 1], gate)
+        _update(on[:, :, 0], on[:, :, 1], entries, path)
     else:
         on = view[:, :, :, 1]  # (blocks, 2, middle, low): target is axis 1
-        _update(on[:, 0], on[:, 1], gate)
+        _update(on[:, 0], on[:, 1], entries, path)
 
 
 def apply_block_inplace(amps: np.ndarray, mask: int,

@@ -136,8 +136,9 @@ class MessageSpec:
         _check_ceiling(n)
         pairs = []
         for _ in range(n):
-            theta = math.acos(1.0 - 2.0 * rng.uniform())
-            phi = rng.uniform(0.0, 2.0 * math.pi)
+            # The same draws as rng.uniform() and rng.uniform(0, 2 pi), for less.
+            theta = math.acos(1.0 - 2.0 * rng.random())
+            phi = 2.0 * math.pi * rng.random()
             pairs.append(
                 (math.cos(theta / 2.0),
                  complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0))
@@ -466,8 +467,10 @@ class ProtocolSession:
         self._rng_shots: np.random.Generator | None = None
         self._key_bits: str | None = None
         self._lambdas: tuple[float, ...] | None = None
-        # Built at setup for cnot and qotp, at angle registration for cu.
+        # Built at setup for cnot and qotp, at angle registration for cu,
+        # together with its signing and recovery circuits.
         self._ctx: EncryptionContext | None = None
+        self._circuits: tuple[tuple[qstate.Op, ...], ...] = ((), ())
         self._verifier_key: str | None = None
         self._proof: SignatureProof | None = None
         self._direct_message: StateVector | None = None
@@ -495,7 +498,14 @@ class ProtocolSession:
         self._record_delivery(VERIFIER, "blind-key", verifier_key)
         # Only keys the ledger holds reach the parties: a setup the ledger
         # refuses leaves the session as it was.
-        self._key_bits, self._ctx, self._verifier_key = bits, ctx, verifier_key
+        self._key_bits, self._verifier_key = bits, verifier_key
+        if ctx is not None:
+            self._accept_context(ctx)
+
+    def _accept_context(self, ctx: EncryptionContext) -> None:
+        """Hold ``ctx`` and build its signing and recovery circuits, once."""
+        signing = tuple(cipher.signature_ops(ctx))
+        self._ctx, self._circuits = ctx, (signing, tuple(cipher.inverse_ops(signing)))
 
     def _record_delivery(self, to: PartyId, purpose: str, bits: str) -> None:
         record = self.ledger.distribute(KGC.label, to.label, purpose, bits)
@@ -528,10 +538,10 @@ class ProtocolSession:
             payload["thetas"] = list(thetas)
             payload["phis"] = list(phis)
         if cfg.scheme is Scheme.CHAINED_CU:
-            self._ctx = EncryptionContext(
+            self._accept_context(EncryptionContext(
                 scheme=cfg.scheme, n=n, perm=keys.derive_permutation(self._key_bits),
                 lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
-            )
+            ))
         # The angle transfer rides the authenticated channel, so the arbiter
         # reads the signer's angles from the same record.
         self.transcript.append("lambda-registration", SIGNER.label, KGC.label, payload)
@@ -549,7 +559,7 @@ class ProtocolSession:
 
     def sign(self, index: int, message: StateVector) -> SignaturePackage:
         ctx = self.context_for(index)
-        signature = self._run_phase(SIGNER.label, message, ctx, cipher.signature_ops(ctx))
+        signature = self._run_phase(SIGNER.label, message, ctx, self._circuits[0])
         tag = keys.tag_of_bits(self._key_bits)
         pkg = SignaturePackage(signer=SIGNER, message=message, signature=signature, tag=tag)
         self.transcript.append(
@@ -560,7 +570,7 @@ class ProtocolSession:
         return pkg
 
     def _run_phase(self, owner: str, state: StateVector, ctx: EncryptionContext,
-                   circuit: list[qstate.Op]) -> StateVector:
+                   circuit: tuple[qstate.Op, ...]) -> StateVector:
         """Run one party's cipher circuit, then log its gates and skipped steps."""
         state = cipher.run(state, ctx, circuit)
         self._log_gates(owner, [(name, qubits) for name, qubits, _ in circuit])
@@ -642,10 +652,7 @@ class ProtocolSession:
                 f"message has {message.n} qubits, signature {fwd.signature.n}"
             )
         ctx = self.context_for(idx)
-        recovered = self._run_phase(
-            KGC.label, fwd.signature, ctx,
-            cipher.inverse_ops(cipher.signature_ops(ctx)),
-        )
+        recovered = self._run_phase(KGC.label, fwd.signature, ctx, self._circuits[1])
         self._last_recovered = recovered
         ov = qstate.overlap_sq(recovered, message)
         pass_probability = qstate.swap_test_pass_probability(ov)

@@ -12,12 +12,15 @@ to the new state without a second copy; shape and norm are checked either way.
 Gates are data: an :data:`Op` names a gate, its qubits and its 2x2 matrix, and
 :func:`apply_ops` runs a whole list of them on one private working copy
 through the kernels (see :mod:`aqs.kernels`); that copy becomes the new
-state's amplitudes.
+state's amplitudes. It reads each gate's entries and picks its kernel path
+once, then hands both to the kernel. A protocol session builds its signing and
+recovery op lists once and runs each of them through :func:`apply_ops`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -92,7 +95,8 @@ class StateVector:
                 f"expected {2 ** self.n} amplitudes for n={self.n}, "
                 f"got shape {amps.shape}"
             )
-        norm = float(np.linalg.norm(amps))
+        parts = amps.view(np.float64)
+        norm = math.sqrt(float(parts @ parts))
         # Written so that a NaN norm fails the check too.
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ConfigError(
@@ -128,7 +132,9 @@ def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> State
     amps = np.array([1.0], dtype=np.complex128)
     for i, (alpha, beta) in enumerate(qubit_states):
         pair = np.array([alpha, beta], dtype=np.complex128)
-        norm = float(np.linalg.norm(pair))
+        a, b = pair.tolist()  # in plain floats, far cheaper than np.linalg.norm
+        norm = math.sqrt((a.real * a.real + b.real * b.real)
+                         + (a.imag * a.imag + b.imag * b.imag))
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ConfigError(
                 f"qubit {i} amplitudes have norm {norm}, expected 1"
@@ -154,7 +160,8 @@ def _apply_run(amps: np.ndarray, n: int, run: dict[int, np.ndarray]) -> None:
         qubits = list(block)
         first, last = qubits[0], qubits[-1]
         if first == last:
-            kernels.apply_single_inplace(amps, _mask(n, first), run[first])
+            kernels.apply_single_inplace(amps, _mask(n, first), run[first].tolist(),
+                                         kernels.FULL)
             continue
         eye = np.eye(2, dtype=np.complex128)
         kernels.apply_block_inplace(
@@ -167,27 +174,30 @@ def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
     """Apply a list of gates in order on one working copy; returns a new state
     that keeps that copy as its buffer.
 
-    Consecutive single-qubit gates that take the full 2x2 update (see
-    :func:`aqs.kernels.is_full`) on distinct qubits are collected into a run,
-    which is applied as one block matmul per aligned group of
-    ``BLOCK_QUBITS`` qubits; a group with one gate keeps the single-qubit
-    kernel. Any other gate, or a second gate on a qubit of the run, ends it.
+    Each gate's entries are read and its kernel path picked once. Consecutive
+    single-qubit gates that take the full 2x2 update (path
+    ``kernels.FULL``) on distinct qubits are collected into a run, which is
+    applied as one block matmul per aligned group of ``BLOCK_QUBITS`` qubits;
+    a group with one gate keeps the single-qubit kernel. Any other gate, or a
+    second gate on a qubit of the run, ends it.
     """
     n = state.n
     amps = state.working_copy()
     run: dict[int, np.ndarray] = {}
     for _, qubits, gate in ops:
         gate = np.asarray(gate)
+        entries = gate.tolist()
+        path = kernels._path(entries)
         if len(qubits) == 1:
             qubit = _check_qubit(n, qubits[0])
-            if kernels.is_full(gate):
+            if path == kernels.FULL:
                 if qubit in run:
                     _apply_run(amps, n, run)
                 run[qubit] = gate
                 continue
             if run:
                 _apply_run(amps, n, run)
-            kernels.apply_single_inplace(amps, _mask(n, qubit), gate)
+            kernels.apply_single_inplace(amps, _mask(n, qubit), entries, path)
             continue
         if run:
             _apply_run(amps, n, run)
@@ -199,7 +209,7 @@ def apply_ops(state: StateVector, ops: Iterable[Op]) -> StateVector:
                 f"control and target both {control}; they must differ"
             )
         kernels.apply_controlled_inplace(
-            amps, _mask(n, control), _mask(n, target), gate
+            amps, _mask(n, control), _mask(n, target), entries, path
         )
     if run:
         _apply_run(amps, n, run)
@@ -306,11 +316,12 @@ def sample(state: StateVector, shots: int, rng: np.random.Generator) -> ShotHist
     draw = rng.multinomial(shots, probs)
     width = state.n
     # Only drawn outcomes get a label: at most ``shots`` of the 2**n entries.
+    # A label's bits, most significant first, are the code points of one
+    # fixed-width numpy string.
     drawn = np.flatnonzero(draw)
-    counts = {
-        format(i, f"0{width}b"): count
-        for i, count in zip(drawn.tolist(), draw[drawn].tolist())
-    }
+    bits = (drawn[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    labels = (bits + ord("0")).astype(np.uint32).view(f"U{width}").ravel().tolist()
+    counts = dict(zip(labels, draw[drawn].tolist()))
     return ShotHistogram(n=state.n, shots=shots, counts=counts)
 
 

@@ -332,6 +332,53 @@ class TestGateAccounting:
         ]
 
 
+ALL_SCHEME_CONTEXTS = (
+    cu_ctx(5, 92), cu_ctx(5, 93, EulerMode.GENERAL),
+    EncryptionContext(Scheme.CHAINED_CNOT, 4, perm=(2, 0, 3, 1)),
+    EncryptionContext(Scheme.QOTP, 4, qotp_key="11011101"),
+)
+
+
+class TestSharedMatrices:
+    @pytest.mark.parametrize("mode", list(EulerMode))
+    def test_slot_rotation_built_once_for_both_entries(self, mode, monkeypatch):
+        ctx = cu_ctx(6, 94, mode)
+        built = []
+        real = gates.u_gate
+        monkeypatch.setattr(gates, "u_gate", lambda *a: built.append(a) or real(*a))
+        ops = signature_ops(ctx)
+        assert len(built) == 6
+        u = {qubits[0]: gate for name, qubits, gate in ops if name == "u"}
+        for name, (j, _), gate in (op for op in ops if op[0] == "cu"):
+            assert gate is u[j]
+            np.testing.assert_array_equal(gate, ctx.rotation(j))
+
+    @pytest.mark.parametrize("ctx", ALL_SCHEME_CONTEXTS, ids=lambda c: c.scheme.value)
+    def test_one_adjoint_per_distinct_matrix(self, ctx, monkeypatch):
+        ops = signature_ops(ctx)
+        taken = []
+        real = gates.adjoint
+        monkeypatch.setattr(gates, "adjoint", lambda g: taken.append(g) or real(g))
+        inverse = inverse_ops(ops)
+        assert len(taken) == len({id(gate) for _, _, gate in ops}) <= ctx.n
+        # Entries that share a forward matrix share its adjoint, and no others.
+        for (_, _, a), (_, _, b) in zip(reversed(ops), inverse):
+            for (_, _, c), (_, _, d) in zip(reversed(ops), inverse):
+                assert (a is c) == (b is d)
+
+    def test_adjoint_still_checks_unitarity(self):
+        bad = np.array([[1.0, 0.0], [0.0, 2.0]], dtype=np.complex128)
+        with pytest.raises(ConfigError, match=r"adjoint requires a unitary 2x2 matrix"):
+            inverse_ops([("u", (0,), bad), ("u", (1,), bad)])
+
+    @pytest.mark.parametrize("ctx", ALL_SCHEME_CONTEXTS, ids=lambda c: c.scheme.value)
+    def test_circuit_matrices_are_read_only(self, ctx):
+        ops = signature_ops(ctx)
+        for _, _, gate in ops + inverse_ops(ops):
+            with pytest.raises(ValueError, match="read-only"):
+                gate[0, 0] = 2.0
+
+
 class TestDiagonalInvariance:
     def test_diagonal_layers_preserve_distribution(self):
         # theta = phi = 0 makes every gate diagonal, so basis probabilities

@@ -17,6 +17,16 @@ from aqs.gates import (
 from oracles import controlled_matrix, kron_chain, random_state, single_matrix
 
 
+def single(amps, mask, gate):
+    entries = np.asarray(gate).tolist()
+    kernels.apply_single_inplace(amps, mask, entries, kernels._path(entries))
+
+
+def controlled(amps, cmask, tmask, gate):
+    entries = np.asarray(gate).tolist()
+    kernels.apply_controlled_inplace(amps, cmask, tmask, entries, kernels._path(entries))
+
+
 def _mask(n, q):
     return 1 << (n - 1 - q)
 
@@ -30,7 +40,7 @@ class TestAgainstOracle:
                 for b in range(2 ** n):
                     amps = np.zeros(2 ** n, dtype=np.complex128)
                     amps[b] = 1.0
-                    kernels.apply_single_inplace(amps, _mask(n, q), gate)
+                    single(amps, _mask(n, q), gate)
                     np.testing.assert_allclose(amps, full[:, b], atol=1e-12)
 
     def test_controlled_exhaustive_basis(self):
@@ -44,7 +54,7 @@ class TestAgainstOracle:
                     for b in range(2 ** n):
                         amps = np.zeros(2 ** n, dtype=np.complex128)
                         amps[b] = 1.0
-                        kernels.apply_controlled_inplace(
+                        controlled(
                             amps, _mask(n, c), _mask(n, t), gate
                         )
                         np.testing.assert_allclose(amps, full[:, b], atol=1e-12)
@@ -57,14 +67,14 @@ class TestAgainstOracle:
             gate = u_gate(*rng.uniform(0, 3.1, size=3))
             q = int(rng.integers(0, n))
             amps = state.copy()
-            kernels.apply_single_inplace(amps, _mask(n, q), gate)
+            single(amps, _mask(n, q), gate)
             np.testing.assert_allclose(
                 amps, single_matrix(n, q, gate) @ state, atol=1e-12
             )
             if n >= 2:
                 c, t = rng.choice(n, size=2, replace=False)
                 amps = state.copy()
-                kernels.apply_controlled_inplace(
+                controlled(
                     amps, _mask(n, int(c)), _mask(n, int(t)), gate
                 )
                 np.testing.assert_allclose(
@@ -82,7 +92,7 @@ class TestAgainstOracle:
                     if c == t:
                         continue
                     amps = state.copy()
-                    kernels.apply_controlled_inplace(
+                    controlled(
                         amps, _mask(n, c), _mask(n, t), gate
                     )
                     off = (np.arange(2 ** n) & _mask(n, c)) == 0
@@ -172,7 +182,7 @@ class TestStructuredGatesAgainstOracle:
                 states.append(random_state(n, rng))
                 for state in states:
                     amps = state.copy()
-                    kernels.apply_single_inplace(amps, _mask(n, q), gate)
+                    single(amps, _mask(n, q), gate)
                     np.testing.assert_allclose(amps, full @ state, atol=1e-12)
 
     @pytest.mark.parametrize("name", GATE_NAMES)
@@ -188,7 +198,7 @@ class TestStructuredGatesAgainstOracle:
                                for b in range(2 ** n)]
                 for state in states:
                     amps = state.copy()
-                    kernels.apply_controlled_inplace(
+                    controlled(
                         amps, _mask(n, c), _mask(n, t), gate
                     )
                     np.testing.assert_allclose(amps, full @ state, atol=1e-12)
@@ -208,13 +218,13 @@ class TestMatchesFullUpdate:
         assert np.all(state.view(np.float64) != 0)
         q = data.draw(st.integers(0, n - 1))
         got, want = state.copy(), state.copy()
-        kernels.apply_single_inplace(got, _mask(n, q), gate)
+        single(got, _mask(n, q), gate)
         full_update_single(want, _mask(n, q), gate)
         _same_bytes_up_to_zero_signs(got, want)
         if n >= 2:
             c, t = data.draw(st.sampled_from(_pairs(n)))
             got, want = state.copy(), state.copy()
-            kernels.apply_controlled_inplace(got, _mask(n, c), _mask(n, t), gate)
+            controlled(got, _mask(n, c), _mask(n, t), gate)
             full_update_controlled(want, _mask(n, c), _mask(n, t), gate)
             _same_bytes_up_to_zero_signs(got, want)
 
@@ -226,12 +236,12 @@ class TestMatchesFullUpdate:
                 state = np.eye(2 ** n, dtype=np.complex128)[b]
                 for q in range(n):
                     got, want = state.copy(), state.copy()
-                    kernels.apply_single_inplace(got, _mask(n, q), gate)
+                    single(got, _mask(n, q), gate)
                     full_update_single(want, _mask(n, q), gate)
                     assert np.array_equal(got, want)
                 for c, t in _pairs(n):
                     got, want = state.copy(), state.copy()
-                    kernels.apply_controlled_inplace(
+                    controlled(
                         got, _mask(n, c), _mask(n, t), gate)
                     full_update_controlled(want, _mask(n, c), _mask(n, t), gate)
                     assert np.array_equal(got, want)
@@ -241,19 +251,19 @@ class TestMatchesFullUpdate:
     def test_tiny_off_diagonal_takes_full_path(self):
         gate = np.array([[1, 1e-300], [1e-300, _phase(0.4)]])
         amps = np.array([0, 1], dtype=np.complex128)
-        kernels.apply_single_inplace(amps, 1, gate)
+        single(amps, 1, gate)
         assert amps[0] == 1e-300
         amps = np.array([0, 0, 0, 1], dtype=np.complex128)
-        kernels.apply_controlled_inplace(amps, 2, 1, gate)
+        controlled(amps, 2, 1, gate)
         assert amps[2] == 1e-300
 
     def test_tiny_diagonal_takes_full_path(self):
         gate = np.array([[1e-300, 1], [1, 1e-300]])
         amps = np.array([1, 0], dtype=np.complex128)
-        kernels.apply_single_inplace(amps, 1, gate)
+        single(amps, 1, gate)
         assert amps[0] == 1e-300 and amps[1] == 1
         amps = np.array([0, 0, 1, 0], dtype=np.complex128)
-        kernels.apply_controlled_inplace(amps, 2, 1, gate)
+        controlled(amps, 2, 1, gate)
         assert amps[2] == 1e-300 and amps[3] == 1
 
 
@@ -268,7 +278,7 @@ class TestStructuredGatesTouchOnlyTheirHalves:
             state[::3] = complex(-0.0, -0.0)
             for c, t in _pairs(n):
                 amps = state.copy()
-                kernels.apply_controlled_inplace(amps, _mask(n, c), _mask(n, t), gate)
+                controlled(amps, _mask(n, c), _mask(n, t), gate)
                 off = (np.arange(2 ** n) & _mask(n, c)) == 0
                 assert amps[off].tobytes() == state[off].tobytes()
 
@@ -282,12 +292,12 @@ class TestStructuredGatesTouchOnlyTheirHalves:
             index = np.arange(2 ** n)
             for q in range(n):
                 amps = state.copy()
-                kernels.apply_single_inplace(amps, _mask(n, q), gate)
+                single(amps, _mask(n, q), gate)
                 zero = (index & _mask(n, q)) == 0
                 assert amps[zero].tobytes() == state[zero].tobytes()
             for c, t in _pairs(n):
                 amps = state.copy()
-                kernels.apply_controlled_inplace(amps, _mask(n, c), _mask(n, t), gate)
+                controlled(amps, _mask(n, c), _mask(n, t), gate)
                 kept = ((index & _mask(n, c)) == 0) | ((index & _mask(n, t)) == 0)
                 assert amps[kept].tobytes() == state[kept].tobytes()
 
@@ -317,16 +327,22 @@ class TestBlock:
         got, want = state.copy(), state.copy()
         kernels.apply_block_inplace(got, _mask(6, 4), gates)
         for q, gate in zip(range(1, 5), gates):
-            kernels.apply_single_inplace(want, _mask(6, q), gate)
+            single(want, _mask(6, q), gate)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def is_full(gate):
+    """Whether ``gate`` takes the full 2x2 update, the path that
+    :func:`aqs.qstate.apply_ops` fuses into blocks."""
+    return kernels._path(np.asarray(gate).tolist()) == kernels.FULL
 
 
 class TestIsFull:
     @pytest.mark.parametrize("name", GATE_NAMES)
     def test_only_general_gates_are_full(self, name):
-        assert kernels.is_full(structured_gates()[name]) == (name == "general")
+        assert is_full(structured_gates()[name]) == (name == "general")
 
     def test_tiny_entries_are_full(self):
         # The same rule as the single and controlled kernels: exact zeros only.
-        assert kernels.is_full(np.array([[1, 1e-300], [1e-300, 1]]))
-        assert kernels.is_full(np.array([[1e-300, 1], [1, 1e-300]]))
+        assert is_full(np.array([[1, 1e-300], [1e-300, 1]]))
+        assert is_full(np.array([[1e-300, 1], [1, 1e-300]]))

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from aqs import cipher, gates
 from aqs.cipher import EulerMode, Scheme, inverse_ops, signature_ops
 from aqs.errors import AqsError, ConfigError
 from aqs.keys import chained_tag, tag_of_bits, xor_bits
@@ -232,10 +233,12 @@ class TestSetup:
         cfg = plain_config(scheme=scheme)
         session = honest_session(cfg)
         before = (session._key_bits, session._ctx, session._verifier_key)
+        circuits = session._circuits
         events = len(session.transcript.events)
         with pytest.raises(AqsError, match=r"'identity-key' already delivered"):
             session.setup()
         assert (session._key_bits, session._ctx, session._verifier_key) == before
+        assert session._circuits is circuits
         assert session._key_bits == session.ledger.lookup("signer_1", "identity-key")
         assert len(session.transcript.events) == events
         pkg = session.sign(1, cfg.message.prepare())
@@ -480,6 +483,64 @@ class TestPhaseGateEvents:
             "identity-key", "pad-key", "blind-key",
         ]
         assert {e["payload"]["channel"] for e in deliveries} == {"qkd"}
+
+
+class TestCircuitsBuiltOnce:
+    """A session builds its signing and recovery circuits once, when it takes
+    its context, and every later phase runs those same read-only lists."""
+
+    @pytest.mark.parametrize("scheme,mode,rotations", [
+        (Scheme.CHAINED_CU, EulerMode.DIAGONAL, 6),
+        (Scheme.CHAINED_CU, EulerMode.GENERAL, 6),
+        (Scheme.CHAINED_CNOT, EulerMode.DIAGONAL, 0),
+        (Scheme.QOTP, EulerMode.DIAGONAL, 0),
+    ])
+    def test_run_builds_each_matrix_once(self, scheme, mode, rotations, monkeypatch):
+        calls = Counter()
+        for module, name in ((gates, "u_gate"), (gates, "adjoint"),
+                             (cipher, "signature_ops"), (cipher, "inverse_ops")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _real=real, _name=name:
+                                calls.update([_name]) or _real(*a))
+        cfg = RunConfig(n=6, message=MessageSpec.random_product(6, np.random.default_rng(4)),
+                        scheme=scheme, euler_mode=mode, seed_keys=5, seed_lambda=6)
+        result = run_protocol(cfg)
+        assert result.outcome.accepted
+        assert calls["u_gate"] == rotations
+        assert 1 <= calls["adjoint"] <= 6
+        assert calls["signature_ops"] == calls["inverse_ops"] == 1
+
+    def test_phases_run_the_stored_circuits(self, monkeypatch):
+        cfg = plain_config(euler_mode=EulerMode.GENERAL)
+        session = honest_session(cfg)
+        signing, recovery = session._circuits
+        ran = []
+        real = cipher.run
+        monkeypatch.setattr(cipher, "run", lambda s, c, ops: ran.append(ops) or real(s, c, ops))
+        pkg = session.sign(1, cfg.message.prepare())
+        assert session.kgc_verify(session.verifier_forward(pkg)).accepted
+        assert ran[0] is signing and ran[1] is recovery
+
+    def test_stored_circuit_matrices_are_read_only(self):
+        session = honest_session(plain_config(euler_mode=EulerMode.GENERAL))
+        for circuit in session._circuits:
+            assert isinstance(circuit, tuple)
+            for _, _, gate in circuit:
+                with pytest.raises(ValueError, match="read-only"):
+                    gate[1, 1] = 0.0
+
+    def test_reregistration_rebuilds_the_circuits(self):
+        cfg = plain_config()
+        session = honest_session(cfg)
+        first = session._circuits
+        session.register_lambda(1)
+        assert session._circuits is not first
+        fresh = signature_ops(session.context_for(1))
+        assert len(session._circuits[0]) == len(fresh)
+        for (_, _, stored), (_, _, gate) in zip(session._circuits[0], fresh):
+            np.testing.assert_array_equal(stored, gate)
+        pkg = session.sign(1, cfg.message.prepare())
+        assert session.kgc_verify(session.verifier_forward(pkg)).accepted
 
 
 class TestRunProtocol:

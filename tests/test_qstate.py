@@ -1,6 +1,7 @@
 """Statevector construction, gate application, measurement and the swap test."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,44 @@ class TestConstruction:
     def test_product_state_nan_rejected(self):
         with pytest.raises(ConfigError, match=r"qubit 1 amplitudes have norm nan"):
             init_product_state([(1.0, 0.0), (math.nan, 0.0)])
+
+    @pytest.mark.parametrize("off", [2e-9, -2e-9, 1.5 * NORM_ATOL, -1.5 * NORM_ATOL])
+    def test_state_norm_just_outside_tolerance_rejected(self, off):
+        amps = np.array([1.0 + off, 0.0])
+        with pytest.raises(ConfigError, match=rf"^state norm {re.escape(str(1.0 + off))} "
+                                              rf"deviates from 1 by more than 1e-09$"):
+            StateVector(1, amps)
+
+    @pytest.mark.parametrize("amps", [[math.nan, 0.0], [0.0, complex(0.0, math.nan)],
+                                      [math.inf, math.nan]])
+    def test_state_nan_norm_message(self, amps):
+        with pytest.raises(ConfigError,
+                           match=r"^state norm nan deviates from 1 by more than 1e-09$"):
+            StateVector(1, np.array(amps))
+
+    @pytest.mark.parametrize("off", [0.5e-9, -0.5e-9])
+    def test_state_norm_inside_tolerance_accepted(self, off):
+        assert StateVector(1, np.array([1.0 + off, 0.0])).amps[0] == 1.0 + off
+
+    @pytest.mark.parametrize("off", [1.1e-9, -1.1e-9, 2e-9, -2e-9])
+    def test_product_pair_just_outside_tolerance_rejected(self, off):
+        # The pair's norm is exactly 1 + off, printed as the message says.
+        for pair in ((1.0 + off, 0.0), (0.0, complex(0.0, 1.0 + off))):
+            with pytest.raises(ConfigError, match=rf"^qubit 1 amplitudes have norm "
+                                                  rf"{re.escape(str(1.0 + off))}, expected 1$"):
+                init_product_state([(1.0, 0.0), pair])
+
+    @pytest.mark.parametrize("pair", [(math.nan, 0.0), (0.0, complex(math.nan, 0.0)),
+                                      (math.inf, math.nan)])
+    def test_product_pair_nan_message(self, pair):
+        with pytest.raises(ConfigError, match=r"^qubit 0 amplitudes have norm nan, expected 1$"):
+            init_product_state([pair])
+
+    @pytest.mark.parametrize("pair", [(1.0, 0.0), (0.0, -1j), (0.6, 0.8j), (-0.8, 0.6),
+                                      (0.5 + 0.5j, 0.5 - 0.5j), (0.9e-9 + 1.0, 0.0)])
+    def test_product_pair_unit_accepted(self, pair):
+        state = init_product_state([pair])
+        assert state.amps.tolist() == [complex(pair[0]), complex(pair[1])]
 
 
 def outer_chain(pairs) -> np.ndarray:
@@ -226,10 +265,12 @@ def per_gate(state: StateVector, ops) -> np.ndarray:
     amps = state.working_copy()
     for _, qubits, gate in ops:
         masks = [1 << (n - 1 - q) for q in qubits]
+        entries = np.asarray(gate).tolist()
+        path = kernels._path(entries)
         if len(qubits) == 1:
-            kernels.apply_single_inplace(amps, masks[0], np.asarray(gate))
+            kernels.apply_single_inplace(amps, masks[0], entries, path)
         else:
-            kernels.apply_controlled_inplace(amps, *masks, np.asarray(gate))
+            kernels.apply_controlled_inplace(amps, *masks, entries, path)
     return amps
 
 
@@ -319,7 +360,7 @@ class TestBlockFusion:
         singles, blocks = [], []
         real_single, real_block = kernels.apply_single_inplace, kernels.apply_block_inplace
         monkeypatch.setattr(kernels, "apply_single_inplace",
-                            lambda amps, mask, g: singles.append(mask) or real_single(amps, mask, g))
+                            lambda amps, mask, *g: singles.append(mask) or real_single(amps, mask, *g))
         monkeypatch.setattr(kernels, "apply_block_inplace",
                             lambda amps, mask, gs: blocks.append((mask, len(gs))) or real_block(amps, mask, gs))
         n = 9
@@ -408,6 +449,23 @@ class TestSampling:
             h = sample(state, shots, np.random.default_rng(seed))
             assert list(h.counts.items()) == list(dense.items())
             assert all(type(c) is int for c in h.counts.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 16])
+    def test_labels_are_msb_first_bit_strings(self, n):
+        # Half the weight on |0...0> and |1...1>, the rest spread over all
+        # labels, so both end labels are drawn next to many others.
+        probs = np.full(2 ** n, 0.5 / 2 ** n)
+        probs[[0, -1]] += 0.25
+        state = StateVector(n, np.sqrt(probs))
+        shots = 1024
+        draw = np.random.default_rng(n).multinomial(shots, distribution(state))
+        want = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draw) if c > 0}
+        h = sample(state, shots, np.random.default_rng(n))
+        assert h.counts == want
+        assert all(type(label) is str for label in h.counts)
+        assert "0" * n in h.counts and "1" * n in h.counts
+        lines = [f"{label},{want[label]}" for label in sorted(want)]
+        assert h.to_csv() == "\n".join(["basis_label,count"] + lines) + "\n"
 
     def test_csv_roundtrip(self):
         h = sample(make_state(3, 9), 200, np.random.default_rng(8))

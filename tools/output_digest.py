@@ -6,7 +6,7 @@ byte-identical: equal digests mean equal outputs. It imports ``aqs`` from the
 
     python tools/output_digest.py
 
-It prints four digests, each chunk hashed behind its 8-byte length. The first
+It prints five digests, each chunk hashed behind its 8-byte length. The first
 covers two groups of library outputs:
 
 * every :func:`aqs.run_protocol` run over four scheme rows, both wirings,
@@ -32,6 +32,15 @@ The fourth covers the same outputs as the first, with the recovered amplitudes
 folded by ``+ 0.0``, which turns every -0.0 into 0.0 and leaves all other bytes
 alone. A change that moves only the sign of exact zeros in those amplitudes
 changes the first line and keeps the fourth.
+
+The fifth covers runs at the benchmark's sizes, which the first stops short
+of: the three ``protocol-n16`` configurations at n = 16 (general mode with
+relay wiring, diagonal mode with direct wiring, and general relay with an X
+on qubit 0 of the message in transit), where the local layer fills four
+4-qubit blocks, and the ``sampled-verify`` configuration at n = 10 (general,
+relay, sampled swap test), honest and tampered, each on three seeds with
+1,024-shot histograms. It hashes the transcript JSON, the recovered amplitude
+bytes and the histogram CSV of each run.
 """
 
 from __future__ import annotations
@@ -110,6 +119,34 @@ def protocol_outputs(fold_zero_signs: bool = False):
             proof = result.proof
             yield b"-" if proof is None else json.dumps(
                 [proof.signer.label, list(proof.lambdas), proof.tag]).encode()
+
+
+# (n, euler mode, wiring, verify mode, X tamper on qubit 0) of the bench-sized runs.
+BENCH_CASES = (
+    (16, "general", "relay", "exact", False),
+    (16, "diagonal", "direct", "exact", False),
+    (16, "general", "relay", "exact", True),
+    (10, "general", "relay", "sampled", False),
+    (10, "general", "relay", "sampled", True),
+)
+
+
+def bench_size_outputs():
+    for i, (n, mode, wiring, verify, x_tamper) in enumerate(BENCH_CASES):
+        for seed in range(3):
+            tamper = None
+            if x_tamper:
+                tamper = TamperSpec("signer-verifier", message_pauli="X" + "I" * (n - 1))
+            config = RunConfig(
+                n=n, message=MessageSpec.random_product(n, np.random.default_rng([i, seed])),
+                scheme=Scheme.CHAINED_CU, euler_mode=mode, wiring=wiring,
+                verify_mode=verify, seed_keys=10 * i + seed, seed_lambda=100 + 10 * i + seed,
+                seed_shots=200 + 10 * i + seed, tamper=tamper,
+            )
+            result = run_protocol(config)
+            yield result.transcript.to_json().encode()
+            yield result.recovered_state.amps.tobytes()
+            yield result.histogram.to_csv().encode()
 
 
 def attack_outputs():
@@ -213,6 +250,7 @@ def main() -> None:
     print(digest_of(itertools.chain(protocol_outputs(fold_zero_signs=True),
                                     attack_outputs())),
           "runs and attacks, zero signs folded")
+    print(digest_of(bench_size_outputs()), "bench-sized runs")
 
 
 if __name__ == "__main__":
