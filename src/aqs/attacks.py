@@ -1,8 +1,8 @@
 """Executable adversary models: Pauli forgeries, impersonation, in-transit tampering.
 
-Every sweep is deterministic per seed: trial t of row r draws its randomness
-from ``default_rng([seed, r, t])``, so reports reproduce bit-exactly and
-trials stay independent.
+Every experiment is deterministic per seed: trial t of sweep row r and sigma
+class c draws from ``default_rng([seed, r, c, t])``; impersonation draws its
+session from ``default_rng([seed, 0])`` and guess t from ``[seed, 1, t]``.
 """
 
 from __future__ import annotations
@@ -203,12 +203,11 @@ def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
 
 
 def _fresh_session(n: int, scheme: Scheme, euler_mode: EulerMode,
-                   rng: np.random.Generator,
-                   message: MessageSpec | None = None) -> ProtocolSession:
+                   rng: np.random.Generator) -> ProtocolSession:
     seeds = rng.integers(0, 2 ** 31, size=3)
     config = RunConfig(
         n=n,
-        message=message if message is not None else MessageSpec.random_product(n, rng),
+        message=MessageSpec.random_product(n, rng),
         scheme=scheme,
         euler_mode=euler_mode if scheme is Scheme.CHAINED_CU else EulerMode.DIAGONAL,
         seed_keys=int(seeds[0]),
@@ -221,7 +220,7 @@ def _fresh_session(n: int, scheme: Scheme, euler_mode: EulerMode,
     return session
 
 
-_SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (
+SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (
     (Scheme.QOTP, EulerMode.DIAGONAL),
     (Scheme.CHAINED_CNOT, EulerMode.DIAGONAL),
     (Scheme.CHAINED_CU, EulerMode.DIAGONAL),
@@ -232,34 +231,37 @@ _SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (
 def forgery_sweep(n: int, trials: int, seed: int,
                   collect_details: bool = False) -> list[AttackReport]:
     """Forgery statistics for every scheme row and sigma class."""
+    return [forgery_row(n, trials, seed, row, cls_index, collect_details)
+            for row in range(len(SWEEP_ROWS))
+            for cls_index in range(len(SIGMA_CLASSES))]
+
+
+def forgery_row(n: int, trials: int, seed: int, row: int, cls_index: int,
+                collect_details: bool = False) -> AttackReport:
+    """Forgery statistics for scheme row ``SWEEP_ROWS[row]`` and sigma class
+    ``SIGMA_CLASSES[cls_index]``, the same whichever other rows run."""
     if n < 2:
         raise ConfigError(f"sweep needs n >= 2, got {n}")
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     _check_seed(seed)
-    reports = []
-    for row, (scheme, mode) in enumerate(_SWEEP_ROWS):
-        mode_label = mode.value if scheme is Scheme.CHAINED_CU else "-"
-        for cls_index, sigma_class in enumerate(SIGMA_CLASSES):
-            outcomes: list[tuple[bool, float | None]] = []
-            details: list[dict[str, Any]] = []
-            for t in range(trials):
-                rng = np.random.default_rng([seed, row, cls_index, t])
-                session = _fresh_session(n, scheme, mode, rng)
-                pkg = honest_package(session)
-                sigma = random_pauli_string(n, rng, sigma_class)
-                out = pauli_forgery(session, pkg, sigma)
-                outcomes.append((out.accepted, out.overlap_sq))
-                if collect_details:
-                    details.append(
-                        {"trial": t, "sigma": sigma, "accepted": out.accepted,
-                         "overlap_sq": out.overlap_sq}
-                    )
-            reports.append(
-                _aggregate(scheme.value, mode_label, sigma_class, outcomes,
-                           details=details if collect_details else None)
-            )
-    return reports
+    scheme, mode = SWEEP_ROWS[row]
+    sigma_class = SIGMA_CLASSES[cls_index]
+    outcomes: list[tuple[bool, float | None]] = []
+    details: list[dict[str, Any]] = []
+    for t in range(trials):
+        rng = np.random.default_rng([seed, row, cls_index, t])
+        session = _fresh_session(n, scheme, mode, rng)
+        pkg = honest_package(session)
+        sigma = random_pauli_string(n, rng, sigma_class)
+        out = pauli_forgery(session, pkg, sigma)
+        outcomes.append((out.accepted, out.overlap_sq))
+        if collect_details:
+            details.append({"trial": t, "sigma": sigma, "accepted": out.accepted,
+                            "overlap_sq": out.overlap_sq})
+    mode_label = mode.value if scheme is Scheme.CHAINED_CU else "-"
+    return _aggregate(scheme.value, mode_label, sigma_class, outcomes,
+                      details=details if collect_details else None)
 
 
 # -- impersonation ------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .protocol import (
     TamperSpec,
     VerifyMode,
     Wiring,
+    honest_gate_events,
     run_protocol,
 )
 
@@ -274,6 +275,20 @@ def _reject_foreign_flags(args: argparse.Namespace, mode: str) -> None:
         raise ConfigError(f"--{mode} does not read {', '.join(changed)}")
 
 
+def _emit_attack_reports(reports: list[attacks.AttackReport],
+                         args: argparse.Namespace) -> None:
+    """Print the reports as CSV, with an impersonation's hash-gate count, and
+    write them as CSV and JSON under ``--out``."""
+    csv_text = attacks.reports_to_csv(reports)
+    print(csv_text, end="")
+    if args.impersonate is not None:
+        print(f"hash_pass_count={reports[0].hash_pass_count}")
+    if args.out is not None:
+        _write(args.out, "attack_report.csv", csv_text)
+        _write(args.out, "attack_report.json",
+               attacks.reports_to_json(reports, verbose=args.verbose) + "\n")
+
+
 def cmd_attack(args: argparse.Namespace) -> int:
     modes = [m for m in ATTACK_MODE_READS if getattr(args, m) is not None]
     if len(modes) != 1:
@@ -283,34 +298,20 @@ def cmd_attack(args: argparse.Namespace) -> int:
     _reject_foreign_flags(args, modes[0])
 
     if args.sweep is not None:
-        rows = attacks.forgery_sweep(
-            args.qubits, args.trials, args.seed, collect_details=args.verbose
-        )
-        rows = [
-            r for r in rows
-            if r.scheme == args.scheme
-            and (args.sigma_class is None or r.sigma_class == args.sigma_class)
-        ]
-        csv_text = attacks.reports_to_csv(rows)
-        print(csv_text, end="")
-        if args.out is not None:
-            _write(args.out, "attack_report.csv", csv_text)
-            _write(args.out, "attack_report.json",
-                   attacks.reports_to_json(rows, verbose=args.verbose) + "\n")
+        _emit_attack_reports([
+            attacks.forgery_row(args.qubits, args.trials, args.seed, row, cls_index,
+                                collect_details=args.verbose)
+            for row, (scheme, _) in enumerate(attacks.SWEEP_ROWS)
+            if scheme.value == args.scheme
+            for cls_index, sigma_class in enumerate(attacks.SIGMA_CLASSES)
+            if args.sigma_class in (None, sigma_class)
+        ], args)
         return EXIT_OK
 
     if args.impersonate is not None:
-        report = attacks.impersonation_attempt(
+        _emit_attack_reports([attacks.impersonation_attempt(
             args.qubits, args.trials, args.seed, knowledge=args.impersonate,
-            collect_details=args.verbose,
-        )
-        csv_text = attacks.reports_to_csv([report])
-        print(csv_text, end="")
-        print(f"hash_pass_count={report.hash_pass_count}")
-        if args.out is not None:
-            _write(args.out, "attack_report.csv", csv_text)
-            _write(args.out, "attack_report.json",
-                   attacks.reports_to_json([report], verbose=args.verbose) + "\n")
+            collect_details=args.verbose)], args)
         return EXIT_OK
 
     config = _config_from_args(args)
@@ -329,10 +330,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = run_protocol(config, sample_histogram=False)
-    text = reports.circuit_report_json(result.ops)
+    text = reports.circuit_report_json(honest_gate_events(config))
     print(text)
-    _compare(result, args)
+    if args.compare is not None:
+        _compare(run_protocol(config, sample_histogram=False), args)
     if args.out is not None:
         _write(args.out, "report.json", text + "\n")
     return EXIT_OK

@@ -34,9 +34,9 @@ from .qstate import OpList, StateVector
 
 EXACT_ACCEPT_THRESHOLD = 1.0 - 1e-9
 
-# Largest register a run may ask for. A run holds about six buffers of
-# 16 * 2**n bytes at its peak (42 / 132 / 404 MiB at n = 16 / 20 / 22), so
-# n = 25 needs about 3 GiB and n = 26 about 6 GiB.
+# Largest register a run may ask for. A general-mode run peaked at 55 / 109 / 312
+# MiB (ru_maxrss) at n = 18 / 20 / 22: 4.3-4.7 buffers of 16 * 2**n bytes over a
+# 37 MiB base, so about 2.3 GiB at n = 25. honest_gate_events holds no state.
 MAX_QUBITS = 25
 
 # numpy draws shot counts as int64.
@@ -590,10 +590,10 @@ class ProtocolSession:
             )
 
     def log_initialize(self, owner: PartyId, n: int) -> None:
-        self._log_gates(owner.label, [("initialize", (q,)) for q in range(n)])
+        self._log_gates(owner.label, _pseudo_gates("initialize", n))
 
     def log_measure(self, owner: PartyId, n: int) -> None:
-        self._log_gates(owner.label, [("measure", (q,)) for q in range(n)])
+        self._log_gates(owner.label, _pseudo_gates("measure", n))
 
     # -- direct wiring: the signer hands the message register to the arbiter
 
@@ -699,6 +699,10 @@ class ProtocolSession:
         return self._rng_shots
 
 
+def _pseudo_gates(name: str, n: int) -> OpList:
+    return [(name, (q,)) for q in range(n)]
+
+
 # -- end-to-end run ----------------------------------------------------------------------
 
 @dataclass
@@ -795,3 +799,16 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         outcome=outcome, message_state=message, recovered_state=recovered,
         histogram=histogram, proof=proof, ops=session.transcript.gate_events(),
     )
+
+
+def honest_gate_events(config: RunConfig) -> OpList:
+    """The gate events :func:`run_protocol` logs for an honest run of ``config``
+    (no tamper), read from the circuits that setup and angle registration
+    build: no state is prepared."""
+    session = ProtocolSession(config)
+    session.setup()
+    session.register_lambda(SIGNER.index)
+    signing, recovery = session._circuits
+    return (_pseudo_gates("initialize", config.n)
+            + [(name, qubits) for name, qubits, _ in signing + recovery]
+            + _pseudo_gates("measure", config.n))

@@ -37,6 +37,10 @@ NORM_ATOL = 1e-9
 # 5, 6 and 8 qubits.
 BLOCK_QUBITS = 4
 
+# Fills the gaps of a block whose run has no gate on some of its qubits.
+_IDENTITY = np.eye(2, dtype=np.complex128)
+_IDENTITY.setflags(write=False)
+
 # Swap-test defaults: accept only if no shot lands on ancilla=1.
 SWAP_TEST_SHOTS = 64
 
@@ -163,9 +167,8 @@ def _apply_run(amps: np.ndarray, n: int, run: dict[int, np.ndarray]) -> None:
             kernels.apply_single_inplace(amps, _mask(n, first), run[first].tolist(),
                                          kernels.FULL)
             continue
-        eye = np.eye(2, dtype=np.complex128)
         kernels.apply_block_inplace(
-            amps, _mask(n, last), [run.get(q, eye) for q in range(first, last + 1)]
+            amps, _mask(n, last), [run.get(q, _IDENTITY) for q in range(first, last + 1)]
         )
     run.clear()
 

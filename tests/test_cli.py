@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aqs import cli
+from aqs import attacks, cli, qstate
 from aqs.protocol import MAX_QUBITS, VerificationOutcome
 from aqs.qstate import ShotHistogram
 
@@ -264,6 +264,25 @@ class TestAttack:
         assert len(rows) == 3
         assert all(float(ln.split(",")[4]) == 1.0 for ln in rows)
 
+    @pytest.mark.parametrize("argv,rows", [
+        (("--scheme", "qotp", "--class", "xy"), [1]),
+        (("--scheme", "cu",), [6, 7, 8, 9, 10, 11]),
+    ])
+    def test_sweep_runs_only_the_rows_it_prints(self, monkeypatch, capsys, tmp_path,
+                                                argv, rows):
+        sessions = []
+        real = attacks._fresh_session
+        monkeypatch.setattr(attacks, "_fresh_session",
+                            lambda *a: sessions.append(a) or real(*a))
+        assert run_cli("attack", "--sweep", "pauli", *argv, "--trials", "5",
+                       "--verbose", "--out", str(tmp_path / "s")) == 0
+        assert len(sessions) == 5 * len(rows)
+        sweep = attacks.forgery_sweep(4, 5, 0, collect_details=True)
+        kept = [sweep[i] for i in rows]
+        assert capsys.readouterr().out == attacks.reports_to_csv(kept)
+        assert ((tmp_path / "s" / "attack_report.json").read_text()
+                == attacks.reports_to_json(kept, verbose=True) + "\n")
+
     def test_impersonation_output(self, capsys, tmp_path):
         assert run_cli("attack", "--impersonate", "none", "--qubits", "6",
                        "--trials", "20", "--out", str(tmp_path / "i")) == 0
@@ -351,6 +370,24 @@ class TestReport:
                        "--out", str(tmp_path / "rep")) == 0
         data = json.loads((tmp_path / "rep" / "report.json").read_text())
         assert data["gate_counts"]["total"] == 24
+
+    def test_report_builds_no_state(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report built or ran a state")
+
+        monkeypatch.setattr(qstate, "apply_ops", refuse)
+        monkeypatch.setattr(qstate.StateVector, "__post_init__", refuse)
+        assert run_cli("report", "--qubits", "25",
+                       "--euler-mode", "general") == 0
+        # Key seed 0 gives a 25-qubit permutation with no fixed point, so
+        # every slot has a chain step.
+        data = json.loads(capsys.readouterr().out)
+        assert data["gate_counts"] == {
+            "counts": {name: 25 for name in ("cu", "cu_adjoint", "initialize",
+                                             "measure", "u", "u_adjoint")},
+            "total": 150,
+        }
+        assert data["depth"] == {"asap_depth": 18, "sequential_depth": 54}
 
     def test_qotp_report_counts(self, capsys):
         assert run_cli("report", "--scheme", "qotp", "--message", "0110") == 0

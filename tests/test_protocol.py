@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aqs import cipher, gates
+from aqs import cipher, gates, reports
 from aqs.cipher import EulerMode, Scheme, inverse_ops, signature_ops
 from aqs.errors import AqsError, ConfigError
 from aqs.keys import chained_tag, tag_of_bits, xor_bits
@@ -36,6 +36,7 @@ from aqs.protocol import (
     VerifyMode,
     Wiring,
     _fingerprint,
+    honest_gate_events,
     run_protocol,
 )
 from aqs.qstate import StateVector, basis_state, overlap_sq
@@ -541,6 +542,34 @@ class TestCircuitsBuiltOnce:
             np.testing.assert_array_equal(stored, gate)
         pkg = session.sign(1, cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
+
+
+class TestHonestGateEvents:
+    """honest_gate_events reads an honest run's gate events from the session's
+    op lists; they must be exactly the events run_protocol logs."""
+
+    @pytest.mark.parametrize("wiring", list(Wiring))
+    @pytest.mark.parametrize("scheme,mode", [
+        (Scheme.QOTP, EulerMode.DIAGONAL),
+        (Scheme.CHAINED_CNOT, EulerMode.DIAGONAL),
+        (Scheme.CHAINED_CU, EulerMode.DIAGONAL),
+        (Scheme.CHAINED_CU, EulerMode.GENERAL),
+    ])
+    def test_equal_to_run_protocol(self, scheme, mode, wiring):
+        for n in range(1, 9):
+            for seed in range(4):
+                rng = np.random.default_rng([n, seed])
+                bits = "".join(str(b) for b in rng.integers(0, 2, size=n))
+                for message in (MessageSpec.classical(bits),
+                                MessageSpec.random_product(n, rng)):
+                    cfg = RunConfig(n=n, message=message, scheme=scheme,
+                                    euler_mode=mode, wiring=wiring, seed_keys=seed,
+                                    seed_lambda=seed + 10, seed_shots=seed + 20)
+                    events = honest_gate_events(cfg)
+                    ops = run_protocol(cfg, sample_histogram=False).ops
+                    assert events == ops, (n, seed, message.kind)
+                    assert (reports.circuit_report_json(events)
+                            == reports.circuit_report_json(ops))
 
 
 class TestRunProtocol:

@@ -20,7 +20,9 @@ covers two groups of library outputs:
 
 The second covers the command line: the exit code, the stdout and every file
 written under ``--out`` for each call in :data:`CLI_CALLS`, which span all four
-subcommands and all three attack modes.
+subcommands and all three attack modes. Among them are ``report`` calls at
+n = 10 for every scheme row and both wirings, and a sweep that selects one
+scheme row and one sigma class.
 
 The third covers the key layer and state fingerprints on fixed inputs:
 ``tag_of_bits`` at several output lengths, ``pack_bits``, ``xor_bits``, seeded
@@ -177,10 +179,18 @@ CLI_CALLS = (
      "--out", "{out}"),
     ("report", "--scheme", "cnot", "--message", "0110", "--compare", "{csv}",
      "--out", "{out}"),
+    ("report", "--qubits", "10", "--scheme", "qotp", "--seed-keys", "3", "--out", "{out}"),
+    ("report", "--qubits", "10", "--scheme", "cnot", "--seed-keys", "4", "--out", "{out}"),
+    ("report", "--qubits", "10", "--wiring", "direct", "--seed-keys", "5",
+     "--message", "0110100111", "--out", "{out}"),
+    ("report", "--qubits", "10", "--euler-mode", "general", "--seed-keys", "6",
+     "--seed-lambda", "7", "--out", "{out}"),
     ("attack", "--sweep", "pauli", "--qubits", "3", "--trials", "5", "--seed", "2",
      "--verbose", "--out", "{out}"),
     ("attack", "--sweep", "pauli", "--qubits", "3", "--trials", "5",
      "--scheme", "qotp", "--class", "xy", "--out", "{out}"),
+    ("attack", "--sweep", "pauli", "--qubits", "4", "--trials", "5", "--seed", "3",
+     "--scheme", "cnot", "--class", "diagonal", "--verbose", "--out", "{out}"),
     ("attack", "--impersonate", "key", "--trials", "20", "--seed", "1",
      "--verbose", "--out", "{out}"),
     ("attack", "--impersonate", "none", "--qubits", "6", "--trials", "50",
