@@ -182,7 +182,7 @@ def honest_package(session: ProtocolSession) -> SignaturePackage:
     One preparation is both the signed register and the clear copy, as in
     :func:`aqs.protocol.run_protocol`.
     """
-    return session.sign(SIGNER.index, session.config.message.prepare())
+    return session.sign(session.config.message.prepare())
 
 
 def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
@@ -193,7 +193,6 @@ def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
     sails through the hash gate; the state compare is the only obstacle.
     """
     forged = SignaturePackage(
-        signer=pkg.signer,
         message=apply_pauli_string(pkg.message, sigma),
         signature=apply_pauli_string(pkg.signature, sigma),
         tag=pkg.tag,
@@ -216,7 +215,7 @@ def _fresh_session(n: int, scheme: Scheme, euler_mode: EulerMode,
     )
     session = ProtocolSession(config)
     session.setup()
-    session.register_lambda(SIGNER.index)
+    session.register_lambda(1)
     return session
 
 
@@ -288,8 +287,8 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     _check_seed(seed)
     rng = np.random.default_rng([seed, 0])
     session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
-    true_key = session.ledger.lookup(SIGNER.label, "identity-key")
-    blind_key = session.ledger.lookup(VERIFIER.label, "blind-key")
+    true_key = session.ledger.lookup(SIGNER, "identity-key")
+    blind_key = session.ledger.lookup(VERIFIER, "blind-key")
     target_tag = keys.chained_tag(true_key, blind_key)
 
     outcomes: list[tuple[bool, float | None]] = []
@@ -308,7 +307,6 @@ def impersonation_attempt(n: int, trials: int, seed: int,
                     )
                 continue
             pkg = SignaturePackage(
-                signer=SIGNER,
                 message=MessageSpec.random_product(n, trial_rng).prepare(),
                 signature=MessageSpec.random_product(n, trial_rng).prepare(),
                 tag=guess_tag,
@@ -316,11 +314,10 @@ def impersonation_attempt(n: int, trials: int, seed: int,
         else:
             # Knowledge of the key (and possibly the angles): a real signature.
             message = MessageSpec.random_product(n, trial_rng).prepare()
-            ctx = session.context_for(SIGNER.index)
+            ctx = session.context_for()
             if knowledge == "key":
                 ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
             pkg = SignaturePackage(
-                signer=SIGNER,
                 message=message,
                 signature=cipher.make_signature(message, ctx),
                 tag=keys.tag_of_bits(true_key),

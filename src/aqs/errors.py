@@ -6,9 +6,9 @@ class AqsError(Exception):
 
     Raised directly when a call comes in a state that does not allow it: a
     phase run before the one it needs (signing before angle registration,
-    verification before setup, arbitration with no stored proof), a party or
-    signer the run does not know, a key delivered twice, or a message register
-    the wiring never supplied."""
+    verification before setup, arbitration with no stored proof), a signer
+    index other than 1 at angle registration, a key delivered twice, or a
+    message register the wiring never supplied."""
 
 
 class ConfigError(AqsError, ValueError):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,50 +97,24 @@ def sample_lambda(count: int, rng: np.random.Generator) -> tuple[float, ...]:
 
 # -- trusted-delivery bookkeeping -------------------------------------------------
 
-@dataclass(frozen=True)
-class KeyDeliveryRecord:
-    """One secret moved over a trusted channel, recorded exactly once."""
-
-    sender: str
-    receiver: str
-    purpose: str
-    bits: str
-
-
 class DeliveryLedger:
-    """Append-only record of trusted deliveries, one per (sender, receiver, purpose)."""
+    """Append-only record of the KGC's trusted deliveries, one per (receiver, purpose)."""
 
     def __init__(self) -> None:
-        self._records: dict[tuple[str, str, str], KeyDeliveryRecord] = {}
+        self._bits: dict[tuple[str, str], str] = {}
 
-    def distribute(self, sender: str, receiver: str, purpose: str,
-                   bits: str) -> KeyDeliveryRecord:
+    def distribute(self, receiver: str, purpose: str, bits: str) -> None:
         _check_bits(bits, purpose)
-        slot = (sender, receiver, purpose)
-        if slot in self._records:
-            raise AqsError(
-                f"{purpose!r} already delivered from {sender!r} to {receiver!r}"
-            )
-        record = KeyDeliveryRecord(
-            sender=sender, receiver=receiver, purpose=purpose, bits=bits
-        )
-        self._records[slot] = record
-        return record
+        slot = (receiver, purpose)
+        if slot in self._bits:
+            raise AqsError(f"{purpose!r} already delivered to {receiver!r}")
+        self._bits[slot] = bits
 
     def lookup(self, receiver: str, purpose: str) -> str:
-        """Bits delivered to ``receiver`` for ``purpose``; exactly one sender may match."""
-        found = [record for (_, rcv, purp), record in self._records.items()
-                 if rcv == receiver and purp == purpose]
-        if not found:
+        """Bits delivered to ``receiver`` for ``purpose``."""
+        bits = self._bits.get((receiver, purpose))
+        if bits is None:
             raise AqsError(
                 f"no secret {purpose!r} on record for party {receiver!r}"
             )
-        if len(found) > 1:
-            senders = ", ".join(repr(record.sender) for record in found)
-            raise AqsError(
-                f"{purpose!r} reached {receiver!r} from {senders}; lookup is ambiguous"
-            )
-        return found[0].bits
-
-    def records(self) -> tuple[KeyDeliveryRecord, ...]:
-        return tuple(self._records.values())
+        return bits

@@ -21,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -30,14 +30,9 @@ import numpy as np
 from . import cipher, keys, qstate
 from .cipher import EncryptionContext, EulerMode, Scheme
 from .errors import AqsError, ConfigError
-from .qstate import OpList, StateVector
+from .qstate import MAX_QUBITS, OpList, StateVector  # MAX_QUBITS is re-exported
 
 EXACT_ACCEPT_THRESHOLD = 1.0 - 1e-9
-
-# Largest register a run may ask for. A general-mode run peaked at 55 / 109 / 312
-# MiB (ru_maxrss) at n = 18 / 20 / 22: 4.3-4.7 buffers of 16 * 2**n bytes over a
-# 37 MiB base, so about 2.3 GiB at n = 25. honest_gate_events holds no state.
-MAX_QUBITS = 25
 
 # numpy draws shot counts as int64.
 MAX_SHOTS = 2 ** 63 - 1
@@ -45,37 +40,11 @@ MAX_SHOTS = 2 ** 63 - 1
 TAMPER_CHANNELS = ("signer-verifier", "verifier-kgc")
 
 
-class Role(str, Enum):
-    KGC = "kgc"
-    SIGNER = "signer"
-    VERIFIER = "verifier"
-
-
-@dataclass(frozen=True)
-class PartyId:
-    role: Role
-    index: int | None = None
-    # Derived from role and index once, at construction.
-    label: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        role = Role(self.role)
-        object.__setattr__(self, "role", role)
-        if role is Role.SIGNER:
-            if self.index is None or self.index < 1:
-                raise ConfigError("signer parties need a positive index")
-            label = f"signer_{self.index}"
-        elif self.index is not None:
-            raise ConfigError(f"{role.value} takes no index")
-        else:
-            label = role.value
-        object.__setattr__(self, "label", label)
-
-
-KGC = PartyId(Role.KGC)
-VERIFIER = PartyId(Role.VERIFIER)
-# A run has one signer, as in the paper's three-party arbitrated model.
-SIGNER = PartyId(Role.SIGNER, 1)
+# The transcript's party labels. A run has one signer, one verifier and the
+# KGC, which is also the arbiter, as in the paper's arbitrated model.
+KGC = "kgc"
+SIGNER = "signer_1"
+VERIFIER = "verifier"
 
 
 class Wiring(str, Enum):
@@ -133,7 +102,7 @@ class MessageSpec:
     @staticmethod
     def random_product(n: int, rng: np.random.Generator) -> "MessageSpec":
         """Per-qubit states drawn uniformly on the Bloch sphere."""
-        _check_ceiling(n)
+        qstate._check_ceiling(n)
         pairs = []
         for _ in range(n):
             # The same draws as rng.uniform() and rng.uniform(0, 2 pi), for less.
@@ -161,11 +130,6 @@ class MessageSpec:
             "kind": "product",
             "amps": [[a.real, a.imag, b.real, b.imag] for a, b in self.amps],
         }
-
-
-def _check_ceiling(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise ConfigError(f"n = {n} exceeds the {MAX_QUBITS}-qubit ceiling")
 
 
 def _check_seed(seed: int, name: str = "seed") -> None:
@@ -226,7 +190,6 @@ def _flip_bit(bits: str, index: int) -> str:
 class SignaturePackage:
     """What the signer emits: clear message copy, signature state, identity tag."""
 
-    signer: PartyId
     message: StateVector
     signature: StateVector
     tag: str
@@ -246,7 +209,6 @@ class SignaturePackage:
 class ForwardedPackage:
     """What the verifier hands the arbiter; message is absent in direct wiring."""
 
-    signer: PartyId
     signature: StateVector
     tag: str
     message: StateVector | None = None
@@ -282,7 +244,7 @@ class VerificationOutcome:
 class SignatureProof:
     """What the arbiter keeps after acceptance: the signing angles and blinded tag."""
 
-    signer: PartyId
+    signer: str
     lambdas: tuple[float, ...]
     tag: str
 
@@ -315,7 +277,7 @@ class RunConfig:
         object.__setattr__(self, "verify_mode", VerifyMode(self.verify_mode))
         if self.n < 1:
             raise ConfigError(f"n must be at least 1, got {self.n}")
-        _check_ceiling(self.n)
+        qstate._check_ceiling(self.n)
         if not 1 <= self.shots <= MAX_SHOTS:
             raise ConfigError(f"shots must be in 1..{MAX_SHOTS}, got {self.shots}")
         if self.swap_shots < 1:
@@ -453,8 +415,10 @@ class Transcript:
 class ProtocolSession:
     """Holds the party secret stores and drives the four phases for one run.
 
-    Methods that act for the signer take its index, which is always
-    ``SIGNER.index``; any other raises :class:`AqsError`.
+    The session plays all three parties: the KGC, which is also the arbiter,
+    one signer and one verifier. Only angle registration takes the signer's
+    index, which must be 1, the index in the ``SIGNER`` label; any other
+    raises :class:`AqsError`, as does a phase run before the one it needs.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -507,23 +471,18 @@ class ProtocolSession:
         signing = tuple(cipher.signature_ops(ctx))
         self._ctx, self._circuits = ctx, (signing, tuple(cipher.inverse_ops(signing)))
 
-    def _record_delivery(self, to: PartyId, purpose: str, bits: str) -> None:
-        record = self.ledger.distribute(KGC.label, to.label, purpose, bits)
+    def _record_delivery(self, to: str, purpose: str, bits: str) -> None:
+        self.ledger.distribute(to, purpose, bits)
         self.transcript.append(
-            "delivery",
-            record.sender,
-            record.receiver,
+            "delivery", KGC, to,
             {"purpose": purpose, "channel": "qkd", "bits": bits, "length": len(bits)},
         )
-
-    def _check_signer(self, index: int | None) -> None:
-        if index != SIGNER.index or self._key_bits is None:
-            raise AqsError(f"no signer {index} in this session")
 
     # -- phase 2: signing-angle registration
 
     def register_lambda(self, index: int) -> tuple[float, ...]:
-        self._check_signer(index)
+        if f"signer_{index}" != SIGNER or self._key_bits is None:
+            raise AqsError(f"no signer {index} in this session")
         cfg = self.config
         n = cfg.n
         lams = cfg.inject_lambdas
@@ -544,26 +503,27 @@ class ProtocolSession:
             ))
         # The angle transfer rides the authenticated channel, so the arbiter
         # reads the signer's angles from the same record.
-        self.transcript.append("lambda-registration", SIGNER.label, KGC.label, payload)
+        self.transcript.append("lambda-registration", SIGNER, KGC, payload)
         return lams
 
     # -- shared context construction
 
-    def context_for(self, index: int) -> EncryptionContext:
-        self._check_signer(index)
+    def context_for(self) -> EncryptionContext:
+        if self._key_bits is None:
+            raise AqsError("session not set up; the signer holds no key")
         if self._ctx is None:
-            raise AqsError(f"signer {index} has not registered signing angles")
+            raise AqsError("the signer has not registered signing angles")
         return self._ctx
 
     # -- phase 3: signing
 
-    def sign(self, index: int, message: StateVector) -> SignaturePackage:
-        ctx = self.context_for(index)
-        signature = self._run_phase(SIGNER.label, message, ctx, self._circuits[0])
+    def sign(self, message: StateVector) -> SignaturePackage:
+        ctx = self.context_for()
+        signature = self._run_phase(SIGNER, message, ctx, self._circuits[0])
         tag = keys.tag_of_bits(self._key_bits)
-        pkg = SignaturePackage(signer=SIGNER, message=message, signature=signature, tag=tag)
+        pkg = SignaturePackage(message=message, signature=signature, tag=tag)
         self.transcript.append(
-            "package", pkg.signer.label, VERIFIER.label,
+            "package", SIGNER, VERIFIER,
             {"tag": tag, "message_fp": _fingerprint(message),
              "signature_fp": _fingerprint(signature)},
         )
@@ -589,19 +549,20 @@ class ProtocolSession:
                 "gate", owner, owner, {"gate": name, "qubits": list(qubits)}
             )
 
-    def log_initialize(self, owner: PartyId, n: int) -> None:
-        self._log_gates(owner.label, _pseudo_gates("initialize", n))
+    def log_initialize(self) -> None:
+        """Log the signer's preparation of the message register."""
+        self._log_gates(SIGNER, _pseudo_gates("initialize", self.config.n))
 
-    def log_measure(self, owner: PartyId, n: int) -> None:
-        self._log_gates(owner.label, _pseudo_gates("measure", n))
+    def log_measure(self) -> None:
+        """Log the arbiter's measurement of the recovered register."""
+        self._log_gates(KGC, _pseudo_gates("measure", self.config.n))
 
     # -- direct wiring: the signer hands the message register to the arbiter
 
-    def send_message_direct(self, index: int, message: StateVector) -> None:
-        self._check_signer(index)
+    def send_message_direct(self, message: StateVector) -> None:
         self._direct_message = message
         self.transcript.append(
-            "direct-message", SIGNER.label, KGC.label,
+            "direct-message", SIGNER, KGC,
             {"message_fp": _fingerprint(message)},
         )
 
@@ -617,11 +578,9 @@ class ProtocolSession:
             )
         blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, self._verifier_key))
         message = pkg.message if self.config.wiring is Wiring.RELAY else None
-        fwd = ForwardedPackage(
-            signer=pkg.signer, signature=pkg.signature, tag=blinded, message=message
-        )
+        fwd = ForwardedPackage(signature=pkg.signature, tag=blinded, message=message)
         self.transcript.append(
-            "forward", VERIFIER.label, KGC.label,
+            "forward", VERIFIER, KGC,
             {"tag": blinded,
              "message_fp": None if message is None else _fingerprint(message),
              "signature_fp": _fingerprint(pkg.signature)},
@@ -632,12 +591,12 @@ class ProtocolSession:
 
     def kgc_verify(self, fwd: ForwardedPackage) -> VerificationOutcome:
         cfg = self.config
-        idx = fwd.signer.index
-        self._check_signer(idx)
+        if self._key_bits is None:
+            raise AqsError("session not set up; the arbiter holds no key")
         expected = keys.chained_tag(self._key_bits, self._verifier_key)
         if fwd.tag != expected:
             outcome = VerificationOutcome(accepted=False, stage="hash-check")
-            self._finish(fwd, outcome)
+            self._finish(outcome)
             return outcome
         message = fwd.message
         if message is None:
@@ -651,8 +610,8 @@ class ProtocolSession:
             raise ConfigError(
                 f"message has {message.n} qubits, signature {fwd.signature.n}"
             )
-        ctx = self.context_for(idx)
-        recovered = self._run_phase(KGC.label, fwd.signature, ctx, self._circuits[1])
+        ctx = self.context_for()
+        recovered = self._run_phase(KGC, fwd.signature, ctx, self._circuits[1])
         self._last_recovered = recovered
         ov = qstate.overlap_sq(recovered, message)
         pass_probability = qstate.swap_test_pass_probability(ov)
@@ -667,28 +626,28 @@ class ProtocolSession:
             pass_probability=pass_probability, swap_ones=ones,
         )
         if outcome.accepted:
-            proof = SignatureProof(signer=fwd.signer, lambdas=self._lambdas or (),
+            proof = SignatureProof(signer=SIGNER, lambdas=self._lambdas or (),
                                    tag=fwd.tag)
             self._proof = proof
             self.transcript.append(
-                "proof-stored", KGC.label, KGC.label,
-                {"signer": fwd.signer.label, "lambdas": list(proof.lambdas),
+                "proof-stored", KGC, KGC,
+                {"signer": SIGNER, "lambdas": list(proof.lambdas),
                  "tag": proof.tag},
             )
-        self._finish(fwd, outcome)
+        self._finish(outcome)
         return outcome
 
-    def _finish(self, fwd: ForwardedPackage, outcome: VerificationOutcome) -> None:
+    def _finish(self, outcome: VerificationOutcome) -> None:
         self.transcript.append(
-            "outcome", KGC.label, VERIFIER.label, outcome.to_payload()
+            "outcome", KGC, VERIFIER, outcome.to_payload()
         )
         self.transcript.outcome = outcome
 
     # -- dispute resolution
 
-    def arbitrate_dispute(self, index: int) -> SignatureProof:
-        if index != SIGNER.index or self._proof is None:
-            raise AqsError(f"no accepted signature proof stored for signer {index}")
+    def arbitrate_dispute(self) -> SignatureProof:
+        if self._proof is None:
+            raise AqsError("no accepted signature proof stored")
         return self._proof
 
     @property
@@ -745,34 +704,34 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     """
     session = ProtocolSession(config)
     session.setup()
-    session.register_lambda(SIGNER.index)
+    session.register_lambda(1)
 
     # The protocol prepares two copies from one recipe: the register to sign
     # and the clear copy the arbiter compares against. States are immutable,
     # so one preparation serves as both.
     message = config.message.prepare()
     session.transcript.append(
-        "prepare-message", SIGNER.label, SIGNER.label,
+        "prepare-message", SIGNER, SIGNER,
         {"n": config.n, "copies": 2, "message_fp": _fingerprint(message)},
     )
-    session.log_initialize(SIGNER, config.n)
+    session.log_initialize()
 
-    pkg = session.sign(SIGNER.index, message)
+    pkg = session.sign(message)
 
     tamper = config.tamper
     if tamper is not None and tamper.channel == "signer-verifier":
         session.transcript.append(
-            "tamper-injection", "adversary", VERIFIER.label, tamper.to_payload()
+            "tamper-injection", "adversary", VERIFIER, tamper.to_payload()
         )
         pkg = _tamper(pkg, tamper)
 
     if config.wiring is Wiring.DIRECT:
-        session.send_message_direct(SIGNER.index, pkg.message)
+        session.send_message_direct(pkg.message)
 
     fwd = session.verifier_forward(pkg)
     if tamper is not None and tamper.channel == "verifier-kgc":
         session.transcript.append(
-            "tamper-injection", "adversary", KGC.label, tamper.to_payload()
+            "tamper-injection", "adversary", KGC, tamper.to_payload()
         )
         fwd = _tamper(fwd, tamper)
 
@@ -783,16 +742,16 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     proof = None
     if outcome.stage == "state-compare":
         recovered = session._last_recovered
-        session.log_measure(KGC, config.n)
+        session.log_measure()
         if sample_histogram:
             histogram = qstate.sample(recovered, config.shots, session.shots_rng)
             session.transcript.append(
-                "histogram", KGC.label, KGC.label,
+                "histogram", KGC, KGC,
                 {"shots": config.shots,
                  "distinct_outcomes": len(histogram.counts)},
             )
     if outcome.accepted:
-        proof = session.arbitrate_dispute(SIGNER.index)
+        proof = session.arbitrate_dispute()
 
     return ProtocolResult(
         config=config, session=session, transcript=session.transcript,
@@ -807,7 +766,7 @@ def honest_gate_events(config: RunConfig) -> OpList:
     build: no state is prepared."""
     session = ProtocolSession(config)
     session.setup()
-    session.register_lambda(SIGNER.index)
+    session.register_lambda(1)
     signing, recovery = session._circuits
     return (_pseudo_gates("initialize", config.n)
             + [(name, qubits) for name, qubits, _ in signing + recovery]

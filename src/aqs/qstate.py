@@ -31,6 +31,12 @@ from .errors import ConfigError
 
 NORM_ATOL = 1e-9
 
+# Largest register a state may have; the builders refuse more before they
+# allocate. A general-mode run peaked at 55 / 109 / 312 MiB (ru_maxrss) at
+# n = 18 / 20 / 22: 4.3-4.7 buffers of 16 * 2**n bytes over a 37 MiB base, so
+# about 2.3 GiB at n = 25. protocol.honest_gate_events holds no state.
+MAX_QUBITS = 25
+
 # Full single-qubit gates are fused over aligned groups of this many qubits.
 # On 2 cores with numpy 2.4.6, one layer of 16 gates at n = 16 took 9.9 ms
 # gate by gate and 5.2, 6.7, 3.2, 4.6, 3.6 and 9.0 ms in groups of 2, 3, 4,
@@ -57,6 +63,11 @@ def _check_qubit(n: int, qubit: int, role: str = "qubit") -> int:
             f"{role} index {qubit} out of range for {n}-qubit register"
         )
     return qubit
+
+
+def _check_ceiling(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ConfigError(f"n = {n} exceeds the {MAX_QUBITS}-qubit ceiling")
 
 
 def _mask(n: int, qubit: int) -> int:
@@ -116,6 +127,7 @@ class StateVector:
 
 def basis_state(n: int, label: int | str) -> StateVector:
     """Computational basis state; label is an index or a bit string."""
+    _check_ceiling(n)
     if isinstance(label, str):
         if len(label) != n or any(ch not in "01" for ch in label):
             raise ConfigError(f"label {label!r} is not a bit string of length {n}")
@@ -133,6 +145,7 @@ def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> State
     """Tensor product of per-qubit states (alpha, beta), qubit 0 first."""
     if len(qubit_states) == 0:
         raise ConfigError("cannot build a product state of zero qubits")
+    _check_ceiling(len(qubit_states))
     amps = np.array([1.0], dtype=np.complex128)
     for i, (alpha, beta) in enumerate(qubit_states):
         pair = np.array([alpha, beta], dtype=np.complex128)

@@ -151,7 +151,7 @@ class TestForgeryOutcomes:
             pkg = honest_package(session)
             sigma = random_pauli_string(3, rng, "random")
             out = pauli_forgery(session, pkg, sigma)
-            ctx = session.context_for(1)
+            ctx = session.context_for()
             rotations = [ctx.rotation(j) for j in range(3)]
             C = chained_cu_matrix(3, ctx.perm, rotations)
             L = local_layer_matrix(3, rotations)

@@ -1,0 +1,94 @@
+"""Exact sets of Pauli forgeries the arbiter accepts, by message kind and key.
+
+A forgery hits message and signature with the same Pauli string sigma; the
+arbiter accepts it when U^dag sigma U |m> equals sigma |m> up to a phase.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from aqs.attacks import honest_package, pauli_forgery
+from aqs.cipher import EulerMode, Scheme
+from aqs.keys import derive_permutation, random_bits
+from aqs.protocol import MessageSpec, ProtocolSession, RunConfig
+
+from oracles import chained_cu_matrix, local_layer_matrix, pauli_string_matrix
+
+
+def signed_session(config: RunConfig):
+    session = ProtocolSession(config)
+    session.setup()
+    session.register_lambda(1)
+    return session, honest_package(session)
+
+
+def accepted_strings(config: RunConfig) -> list[str]:
+    """Every Pauli string the cu arbiter accepts on one session, each overlap
+    checked against the full-matrix signature unitary."""
+    n = config.n
+    session, pkg = signed_session(config)
+    ctx = session.context_for()
+    rotations = [ctx.rotation(j) for j in range(n)]
+    u = local_layer_matrix(n, rotations) @ chained_cu_matrix(n, ctx.perm, rotations)
+    m = pkg.message.amps
+    accepted = []
+    for letters in itertools.product("IXYZ", repeat=n):
+        sigma = "".join(letters)
+        out = pauli_forgery(session, pkg, sigma)
+        s = pauli_string_matrix(sigma)
+        want = min(abs(np.vdot(s @ m, u.conj().T @ s @ u @ m)) ** 2, 1.0)
+        assert out.overlap_sq == pytest.approx(want, abs=1e-10)
+        if out.accepted:
+            accepted.append(sigma)
+    return accepted
+
+
+def cu_config(n: int, seed: int, mode: EulerMode, message: MessageSpec) -> RunConfig:
+    return RunConfig(n=n, message=message, scheme=Scheme.CHAINED_CU, euler_mode=mode,
+                     seed_keys=seed, seed_lambda=seed + 1)
+
+
+def basis_message(n: int, seed: int) -> MessageSpec:
+    return MessageSpec.classical(random_bits(n, np.random.default_rng([seed, n])))
+
+
+class TestBasisStateMessage:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_cu_accepts_every_pauli_string(self, n, seed):
+        # A diagonal U maps sigma|x> to a phase times itself, for every sigma.
+        config = cu_config(n, seed, EulerMode.DIAGONAL, basis_message(n, seed))
+        assert len(accepted_strings(config)) == 4 ** n
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["basis", "product"])
+    def test_general_cu_accepts_only_the_identity(self, n, seed, kind):
+        message = (basis_message(n, seed) if kind == "basis"
+                   else MessageSpec.random_product(n, np.random.default_rng([seed, n])))
+        config = cu_config(n, seed, EulerMode.GENERAL, message)
+        assert accepted_strings(config) == ["I" * n]
+
+
+class TestCnotQubitZero:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_one_qubit_forgery_passes_on_keys_that_fix_qubit_zero(self, n):
+        # derive_permutation lists the 0-bit positions first, so perm[0] == 0
+        # whenever key bit 0 is 0, and for the all-ones key. Qubit 0 then has
+        # no chain gate and any Pauli on it passes: Pr over keys is
+        # 1/2 + 2^-n for every one-qubit forgery on qubit 0.
+        message = MessageSpec.random_product(n, np.random.default_rng([10, n]))
+        all_keys = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+        passed = {letter: [] for letter in "XYZ"}
+        for key in all_keys:
+            config = RunConfig(n=n, message=message, scheme=Scheme.CHAINED_CNOT,
+                               inject_key_bits=key)
+            session, pkg = signed_session(config)
+            for letter in "XYZ":
+                if pauli_forgery(session, pkg, letter + "I" * (n - 1)).accepted:
+                    passed[letter].append(key)
+        fixing = [key for key in all_keys if derive_permutation(key)[0] == 0]
+        assert len(fixing) == 2 ** (n - 1) + 1
+        assert passed == {letter: fixing for letter in "XYZ"}

@@ -259,38 +259,25 @@ class TestLambdaSampling:
 class TestDeliveryLedger:
     def test_distribute_and_lookup(self):
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "signer_1", "signing-key", "1010")
+        ledger.distribute("signer_1", "signing-key", "1010")
         assert ledger.lookup("signer_1", "signing-key") == "1010"
-        assert len(ledger.records()) == 1
 
     def test_duplicate_rejected(self):
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "signer_1", "signing-key", "1010")
+        ledger.distribute("signer_1", "signing-key", "1010")
         with pytest.raises(AqsError,
-                           match=r"'signing-key' already delivered from 'kgc' to 'signer_1'"):
-            ledger.distribute("kgc", "signer_1", "signing-key", "0101")
+                           match=r"'signing-key' already delivered to 'signer_1'"):
+            ledger.distribute("signer_1", "signing-key", "0101")
+        assert ledger.lookup("signer_1", "signing-key") == "1010"
 
     def test_same_purpose_different_receiver_ok(self):
         ledger = DeliveryLedger()
-        ledger.distribute("kgc", "signer_1", "signing-key", "1010")
-        ledger.distribute("kgc", "verifier", "signing-key", "1010")
-        assert len(ledger.records()) == 2
-
-    def test_lookup_rejects_two_senders(self):
-        # Same purpose to the same receiver from two senders: no silent pick.
-        ledger = DeliveryLedger()
-        ledger.distribute("kgc", "verifier", "blind-key", "0011")
-        ledger.distribute("signer_1", "verifier", "blind-key", "1100")
-        with pytest.raises(AqsError, match="'kgc', 'signer_1'"):
-            ledger.lookup("verifier", "blind-key")
+        ledger.distribute("signer_1", "signing-key", "1010")
+        ledger.distribute("verifier", "signing-key", "0110")
+        assert ledger.lookup("signer_1", "signing-key") == "1010"
+        assert ledger.lookup("verifier", "signing-key") == "0110"
 
     def test_unknown_party(self):
         with pytest.raises(AqsError,
                            match=r"no secret 'signing-key' on record for party 'signer_9'"):
             DeliveryLedger().lookup("signer_9", "signing-key")
-
-    def test_record_fields(self):
-        ledger = DeliveryLedger()
-        rec = ledger.distribute("kgc", "verifier", "blind-key", "0011")
-        assert (rec.sender, rec.receiver, rec.purpose) == ("kgc", "verifier", "blind-key")
-        assert rec.bits == "0011"

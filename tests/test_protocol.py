@@ -27,9 +27,7 @@ from aqs.protocol import (
     VERIFIER,
     ForwardedPackage,
     MessageSpec,
-    PartyId,
     ProtocolSession,
-    Role,
     RunConfig,
     SignaturePackage,
     TamperSpec,
@@ -75,18 +73,7 @@ def honest_session(config: RunConfig) -> ProtocolSession:
 
 class TestParties:
     def test_labels(self):
-        assert KGC.label == "kgc"
-        assert VERIFIER.label == "verifier"
-        assert SIGNER.label == "signer_1"
-        assert PartyId(Role.SIGNER, 3).label == "signer_3"
-
-    def test_signer_needs_positive_index(self):
-        with pytest.raises(ConfigError):
-            PartyId(Role.SIGNER, 0)
-
-    def test_non_signer_takes_no_index(self):
-        with pytest.raises(ConfigError):
-            PartyId(Role.KGC, index=2)
+        assert (KGC, SIGNER, VERIFIER) == ("kgc", "signer_1", "verifier")
 
 
 class TestMessageSpec:
@@ -214,20 +201,13 @@ class TestSetup:
 
     def test_unknown_signer(self):
         session = honest_session(plain_config())
-        msg = plain_config().message.prepare()
-        other = dataclasses.replace(session.verifier_forward(session.sign(1, msg)),
-                                    signer=PartyId(Role.SIGNER, 2))
-        calls = [
-            (7, lambda: session.sign(7, msg)),
-            (2, lambda: session.register_lambda(2)),
-            (2, lambda: session.context_for(2)),
-            (2, lambda: session.send_message_direct(2, msg)),
-            (2, lambda: session.kgc_verify(other)),
-        ]
-        for index, call in calls:
+        lambdas = session._lambdas
+        events = len(session.transcript.events)
+        for index in (0, 2, 7):
             with pytest.raises(AqsError, match=rf"no signer {index} in this session"):
-                call()
-        assert session.transcript.outcome is None
+                session.register_lambda(index)
+        assert session._lambdas == lambdas
+        assert len(session.transcript.events) == events
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_refused_second_setup_keeps_delivered_keys(self, scheme):
@@ -242,13 +222,20 @@ class TestSetup:
         assert session._circuits is circuits
         assert session._key_bits == session.ledger.lookup("signer_1", "identity-key")
         assert len(session.transcript.events) == events
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
 
     def test_sign_before_setup(self):
         session = ProtocolSession(plain_config())
+        msg = plain_config().message.prepare()
         with pytest.raises(AqsError, match=r"no signer 1 in this session"):
-            session.sign(1, plain_config().message.prepare())
+            session.register_lambda(1)
+        with pytest.raises(AqsError, match=r"session not set up; the signer holds no key"):
+            session.sign(msg)
+        fwd = ForwardedPackage(signature=msg, tag="0000", message=msg)
+        with pytest.raises(AqsError, match=r"session not set up; the arbiter holds no key"):
+            session.kgc_verify(fwd)
+        assert session.transcript.events == []
 
 
 class TestLambdaRegistration:
@@ -288,8 +275,8 @@ class TestLambdaRegistration:
     def test_missing_lambda_blocks_signing(self):
         session = ProtocolSession(plain_config())
         session.setup()
-        with pytest.raises(AqsError, match=r"signer 1 has not registered signing angles"):
-            session.sign(1, plain_config().message.prepare())
+        with pytest.raises(AqsError, match=r"the signer has not registered signing angles"):
+            session.sign(plain_config().message.prepare())
 
 
 class TestSigning:
@@ -298,12 +285,12 @@ class TestSigning:
         cfg = plain_config(inject_key_bits="0000", inject_lambdas=(0.0,) * 4)
         session = honest_session(cfg)
         msg = cfg.message.prepare()
-        pkg = session.sign(1, msg)
+        pkg = session.sign(msg)
         np.testing.assert_allclose(pkg.signature.amps, msg.amps, atol=1e-15)
 
     def test_tag_is_hash_of_identity_key(self):
         session = honest_session(demo_config())
-        pkg = session.sign(1, demo_config().message.prepare())
+        pkg = session.sign(demo_config().message.prepare())
         assert pkg.tag == tag_of_bits("1010")
         assert pkg.tag == "1000"
 
@@ -311,18 +298,18 @@ class TestSigning:
         cfg = demo_config()
         session = honest_session(cfg)
         msg = cfg.message.prepare()
-        pkg = session.sign(1, msg)
+        pkg = session.sign(msg)
         assert overlap_sq(pkg.signature, msg) < 1.0 - 1e-3
 
     def test_wrong_size_message(self):
         session = honest_session(plain_config())
         with pytest.raises(ConfigError, match=r"context is for n=4, state has n=2"):
-            session.sign(1, MessageSpec.classical("01").prepare())
+            session.sign(MessageSpec.classical("01").prepare())
 
     def test_signing_is_deterministic(self):
         cfg = demo_config()
-        a = honest_session(cfg).sign(1, cfg.message.prepare())
-        b = honest_session(cfg).sign(1, cfg.message.prepare())
+        a = honest_session(cfg).sign(cfg.message.prepare())
+        b = honest_session(cfg).sign(cfg.message.prepare())
         np.testing.assert_array_equal(a.signature.amps, b.signature.amps)
         assert a.tag == b.tag
 
@@ -331,7 +318,7 @@ class TestForwardAndVerify:
     def test_blinded_tag_matches_chained_recomputation(self):
         cfg = demo_config()
         session = honest_session(cfg)
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
         assert fwd.tag == tag_of_bits(xor_bits(pkg.tag, session._verifier_key))
         assert fwd.tag == chained_tag("1010", session._verifier_key)
@@ -340,7 +327,7 @@ class TestForwardAndVerify:
         cfg = plain_config()
         session = honest_session(cfg)
         msg = cfg.message.prepare()
-        pkg = session.sign(1, msg)
+        pkg = session.sign(msg)
         outcome = session.kgc_verify(session.verifier_forward(pkg))
         assert outcome.accepted
         assert outcome.stage == "state-compare"
@@ -349,7 +336,7 @@ class TestForwardAndVerify:
     def test_flipped_tag_fails_at_hash_stage(self):
         cfg = plain_config()
         session = honest_session(cfg)
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
         bad = dataclasses.replace(fwd, tag="1" + fwd.tag[1:])
         if bad.tag == fwd.tag:
@@ -362,11 +349,9 @@ class TestForwardAndVerify:
     def test_replaced_signature_rejected(self):
         cfg = plain_config()
         session = honest_session(cfg)
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         junk = StateVector(4, random_state(4, np.random.default_rng(123)))
-        forged = SignaturePackage(
-            signer=pkg.signer, message=pkg.message, signature=junk, tag=pkg.tag
-        )
+        forged = SignaturePackage(message=pkg.message, signature=junk, tag=pkg.tag)
         outcome = session.kgc_verify(session.verifier_forward(forged))
         assert not outcome.accepted
         assert outcome.stage == "state-compare"
@@ -375,7 +360,7 @@ class TestForwardAndVerify:
     def test_direct_wiring_needs_direct_message(self):
         cfg = plain_config(wiring=Wiring.DIRECT)
         session = honest_session(cfg)
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
         assert fwd.message is None
         with pytest.raises(AqsError, match=r"no message register available"):
@@ -385,8 +370,8 @@ class TestForwardAndVerify:
         cfg = plain_config(wiring=Wiring.DIRECT)
         session = honest_session(cfg)
         msg = cfg.message.prepare()
-        pkg = session.sign(1, msg)
-        session.send_message_direct(1, cfg.message.prepare())
+        pkg = session.sign(msg)
+        session.send_message_direct(cfg.message.prepare())
         outcome = session.kgc_verify(session.verifier_forward(pkg))
         assert outcome.accepted
 
@@ -397,19 +382,17 @@ class TestForwardAndVerify:
         session = ProtocolSession(cfg)
         session.setup()
         msg = cfg.message.prepare()
-        pkg = SignaturePackage(
-            signer=SIGNER, message=msg, signature=msg,
-            tag=tag_of_bits(session._key_bits),
-        )
+        pkg = SignaturePackage(message=msg, signature=msg,
+                               tag=tag_of_bits(session._key_bits))
         fwd = session.verifier_forward(pkg)
-        with pytest.raises(AqsError, match=r"signer 1 has not registered signing angles"):
+        with pytest.raises(AqsError, match=r"the signer has not registered signing angles"):
             session.kgc_verify(fwd)
         assert session.transcript.outcome is None
 
     def test_sampled_mode_honest(self):
         cfg = plain_config(verify_mode=VerifyMode.SAMPLED)
         session = honest_session(cfg)
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         outcome = session.kgc_verify(session.verifier_forward(pkg))
         assert outcome.accepted
         assert outcome.swap_ones == 0
@@ -418,14 +401,12 @@ class TestForwardAndVerify:
     def test_proof_stored_only_on_accept(self):
         cfg = plain_config()
         session = honest_session(cfg)
-        with pytest.raises(AqsError, match=r"no accepted signature proof stored for signer 1"):
-            session.arbitrate_dispute(1)
-        pkg = session.sign(1, cfg.message.prepare())
+        with pytest.raises(AqsError, match=r"no accepted signature proof stored"):
+            session.arbitrate_dispute()
+        pkg = session.sign(cfg.message.prepare())
         session.kgc_verify(session.verifier_forward(pkg))
-        proof = session.arbitrate_dispute(1)
-        with pytest.raises(AqsError, match=r"no accepted signature proof stored for signer 2"):
-            session.arbitrate_dispute(2)
-        assert proof.signer == SIGNER
+        proof = session.arbitrate_dispute()
+        assert proof.signer == SIGNER == "signer_1"
         assert proof.lambdas == session._lambdas
 
 
@@ -458,10 +439,10 @@ class TestPhaseGateEvents:
         # Key 0101 gives the permutation (0, 2, 1, 3): slots 0 and 3 are fixed.
         cfg = plain_config(scheme=scheme, euler_mode=mode, inject_key_bits="0101")
         session = honest_session(cfg)
-        ctx = session.context_for(1)
+        ctx = session.context_for()
         signed = signature_ops(ctx)
         pkg, events = phase_events(session,
-                                   lambda: session.sign(1, cfg.message.prepare()))
+                                   lambda: session.sign(cfg.message.prepare()))
         assert gates_and_skips(events, "signer_1") == (
             [(name, qubits) for name, qubits, _ in signed], skipped,
         )
@@ -518,7 +499,7 @@ class TestCircuitsBuiltOnce:
         ran = []
         real = cipher.run
         monkeypatch.setattr(cipher, "run", lambda s, c, ops: ran.append(ops) or real(s, c, ops))
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
         assert ran[0] is signing and ran[1] is recovery
 
@@ -536,11 +517,11 @@ class TestCircuitsBuiltOnce:
         first = session._circuits
         session.register_lambda(1)
         assert session._circuits is not first
-        fresh = signature_ops(session.context_for(1))
+        fresh = signature_ops(session.context_for())
         assert len(session._circuits[0]) == len(fresh)
         for (_, _, stored), (_, _, gate) in zip(session._circuits[0], fresh):
             np.testing.assert_array_equal(stored, gate)
-        pkg = session.sign(1, cfg.message.prepare())
+        pkg = session.sign(cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aqs import gates, kernels
+from aqs import gates, kernels, qstate
 from aqs.cipher import EncryptionContext, inverse_ops, signature_ops
 from aqs.errors import ConfigError
+from aqs.protocol import MAX_QUBITS, MessageSpec
 from aqs.qstate import (
     BLOCK_QUBITS,
     NORM_ATOL,
@@ -99,6 +100,30 @@ class TestConstruction:
             init_product_state([])
         with pytest.raises(ConfigError, match=r"qubit 0 amplitudes have norm"):
             init_product_state([(1.0, 1.0)])
+
+    def test_ceiling_refused_before_allocation(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Allocated
+
+        for name in ("zeros", "array", "empty", "multiply"):
+            monkeypatch.setattr(np, name, refuse)
+        over = MAX_QUBITS + 1
+        builds = [
+            lambda: basis_state(over, 0),
+            lambda: basis_state(over, "0" * over),
+            lambda: init_product_state([(1.0, 0.0)] * over),
+            lambda: MessageSpec.classical("0" * over).prepare(),
+            lambda: MessageSpec.uniform_qubit(over, 1.0, 0.0).prepare(),
+        ]
+        for build in builds:
+            with pytest.raises(ConfigError, match=rf"n = {over} exceeds the "
+                                                  rf"{MAX_QUBITS}-qubit ceiling"):
+                build()
+        monkeypatch.undo()
+        assert qstate.MAX_QUBITS == MAX_QUBITS == 25
 
     def test_product_state_nan_rejected(self):
         with pytest.raises(ConfigError, match=r"qubit 1 amplitudes have norm nan"):
