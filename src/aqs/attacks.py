@@ -1,8 +1,12 @@
 """Executable adversary models: Pauli forgeries, impersonation, in-transit tampering.
 
 Every experiment is deterministic per seed: trial t of sweep row r and sigma
-class c draws from ``default_rng([seed, r, c, t])``; impersonation draws its
-session from ``default_rng([seed, 0])`` and guess t from ``[seed, 1, t]``.
+class c draws from ``default_rng([seed, r, c, t])``. Impersonation draws its
+session from ``default_rng([seed, 0])``. At the ``none`` level every key guess
+comes, in trial order, from the one stream ``default_rng([seed, 1])``, n bits
+a guess, and a guess t that passes the hash gate draws its message and
+signature from ``[seed, 2, t]``. At the other levels trial t draws from
+``[seed, 1, t]``.
 """
 
 from __future__ import annotations
@@ -155,16 +159,18 @@ def reports_to_json(reports: list[AttackReport], verbose: bool = False) -> str:
     )
 
 
-def _aggregate(scheme: str, euler_mode: str, sigma_class: str,
+def _aggregate(scheme: str, euler_mode: str, sigma_class: str, trials: int,
                outcomes: list[tuple[bool, float | None]],
                hash_pass_count: int | None = None,
                details: list[dict[str, Any]] | None = None) -> AttackReport:
+    """Report over ``trials`` trials; trials missing from ``outcomes`` were
+    rejected without an overlap."""
     overlaps = [ov for _, ov in outcomes if ov is not None]
     return AttackReport(
         scheme=scheme,
         euler_mode=euler_mode,
         sigma_class=sigma_class,
-        trials=len(outcomes),
+        trials=trials,
         accept_count=sum(1 for acc, _ in outcomes if acc),
         mean_overlap_sq=float(np.mean(overlaps)) if overlaps else None,
         min_overlap_sq=float(np.min(overlaps)) if overlaps else None,
@@ -259,13 +265,17 @@ def forgery_row(n: int, trials: int, seed: int, row: int, cls_index: int,
             details.append({"trial": t, "sigma": sigma, "accepted": out.accepted,
                             "overlap_sq": out.overlap_sq})
     mode_label = mode.value if scheme is Scheme.CHAINED_CU else "-"
-    return _aggregate(scheme.value, mode_label, sigma_class, outcomes,
+    return _aggregate(scheme.value, mode_label, sigma_class, trials, outcomes,
                       details=details if collect_details else None)
 
 
 # -- impersonation ------------------------------------------------------------------
 
 KNOWLEDGE_LEVELS = ("none", "key", "key-and-lambda")
+
+# Guesses drawn per ``random_bits`` call at the ``none`` level. Draws are
+# chunk-invariant, so this bounds memory and leaves the stream as it is.
+_GUESS_CHUNK = 512
 
 
 def impersonation_attempt(n: int, trials: int, seed: int,
@@ -289,52 +299,61 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
     true_key = session.ledger.lookup(SIGNER, "identity-key")
     blind_key = session.ledger.lookup(VERIFIER, "blind-key")
-    target_tag = keys.chained_tag(true_key, blind_key)
 
+    # Only verifications are recorded: a hash-gate rejection leaves no record
+    # unless details are asked for, and the report counts it as a trial.
     outcomes: list[tuple[bool, float | None]] = []
     details: list[dict[str, Any]] = []
-    hash_passes = 0
-    for t in range(trials):
-        trial_rng = np.random.default_rng([seed, 1, t])
-        if knowledge == "none":
-            guess_tag = keys.tag_of_bits(keys.random_bits(n, trial_rng))
-            blinded = keys.tag_of_bits(keys.xor_bits(guess_tag, blind_key))
-            if blinded != target_tag:
-                outcomes.append((False, None))
-                if collect_details:
-                    details.append(
-                        {"trial": t, "hash_pass": False, "accepted": False}
-                    )
-                continue
-            pkg = SignaturePackage(
-                message=MessageSpec.random_product(n, trial_rng).prepare(),
-                signature=MessageSpec.random_product(n, trial_rng).prepare(),
-                tag=guess_tag,
-            )
-        else:
+    setup_events = len(session.transcript.events)
+
+    def verify(t: int, pkg: SignaturePackage) -> None:
+        out = session.kgc_verify(session.verifier_forward(pkg))
+        # No report reads the transcript: drop this verification's events so
+        # memory does not grow with the number of passes.
+        del session.transcript.events[setup_events:]
+        outcomes.append((out.accepted, out.overlap_sq))
+        if collect_details:
+            details.append({"trial": t, "hash_pass": True, "accepted": out.accepted,
+                            "overlap_sq": out.overlap_sq})
+
+    if knowledge == "none":
+        # The gate on ints: H(H(g) xor blind) against H(H(K) xor blind).
+        blind = int(blind_key, 2)
+        target = int(keys.chained_tag(true_key, blind_key), 2)
+        guess_rng = np.random.default_rng([seed, 1])
+        for start in range(0, trials, _GUESS_CHUNK):
+            count = min(_GUESS_CHUNK, trials - start)
+            bits = keys.random_bits(count * n, guess_rng)
+            for t, at in zip(range(start, start + count), range(0, count * n, n)):
+                inner = keys._tag_of_int(int(bits[at:at + n], 2), n, n)
+                if keys._tag_of_int(inner ^ blind, n, n) != target:
+                    if collect_details:
+                        details.append({"trial": t, "hash_pass": False, "accepted": False})
+                    continue
+                pass_rng = np.random.default_rng([seed, 2, t])
+                verify(t, SignaturePackage(
+                    message=MessageSpec.random_product(n, pass_rng).prepare(),
+                    signature=MessageSpec.random_product(n, pass_rng).prepare(),
+                    tag=format(inner, f"0{n}b"),
+                ))
+    else:
+        for t in range(trials):
             # Knowledge of the key (and possibly the angles): a real signature.
+            trial_rng = np.random.default_rng([seed, 1, t])
             message = MessageSpec.random_product(n, trial_rng).prepare()
             ctx = session.context_for()
             if knowledge == "key":
                 ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
-            pkg = SignaturePackage(
+            verify(t, SignaturePackage(
                 message=message,
                 signature=cipher.make_signature(message, ctx),
                 tag=keys.tag_of_bits(true_key),
-            )
-        hash_passes += 1
-        out = session.kgc_verify(session.verifier_forward(pkg))
-        outcomes.append((out.accepted, out.overlap_sq))
-        if collect_details:
-            details.append(
-                {"trial": t, "hash_pass": True, "accepted": out.accepted,
-                 "overlap_sq": out.overlap_sq}
-            )
+            ))
 
     return _aggregate(
         Scheme.CHAINED_CU.value, EulerMode.DIAGONAL.value,
-        f"impersonation-{knowledge}", outcomes,
-        hash_pass_count=hash_passes,
+        f"impersonation-{knowledge}", trials, outcomes,
+        hash_pass_count=len(outcomes),
         details=details if collect_details else None,
     )
 

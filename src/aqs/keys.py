@@ -59,12 +59,16 @@ def derive_permutation(bits: str) -> tuple[int, ...]:
     return tuple(zeros + ones)
 
 
+def _pack_int(value: int, length: int) -> bytes:
+    # The packing of ``value`` read as a ``length``-bit string.
+    body = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
+    return length.to_bytes(8, "big") + body
+
+
 def pack_bits(bits: str) -> bytes:
     """Canonical byte packing: 8-byte big-endian bit count, then MSB-first bits."""
     _check_bits(bits)
-    length = len(bits)
-    body = (int(bits, 2) << (-length % 8)).to_bytes((length + 7) // 8, "big")
-    return length.to_bytes(8, "big") + body
+    return _pack_int(int(bits, 2), len(bits))
 
 
 def hash_tag(data: bytes, n: int) -> str:
@@ -75,11 +79,20 @@ def hash_tag(data: bytes, n: int) -> str:
     return format(int.from_bytes(digest, "big") >> (-n % 8), f"0{n}b")
 
 
+def _tag_of_int(value: int, length: int, out_bits: int) -> int:
+    """:func:`tag_of_bits` on ints: the tag of ``value`` read as a ``length``-bit
+    string, as an ``out_bits``-bit int. Callers check the arguments."""
+    digest = hashlib.shake_256(_pack_int(value, length)).digest((out_bits + 7) // 8)
+    return int.from_bytes(digest, "big") >> (-out_bits % 8)
+
+
 def tag_of_bits(bits: str, out_bits: int | None = None) -> str:
     """Tag of a bit string via the canonical packing; defaults to same length."""
     _check_bits(bits)
     n = len(bits) if out_bits is None else int(out_bits)
-    return hash_tag(pack_bits(bits), n)
+    if n < 1:
+        raise ConfigError(f"tag length must be positive, got {n}")
+    return format(_tag_of_int(int(bits, 2), len(bits), n), f"0{n}b")
 
 
 def chained_tag(key_bits: str, blind_bits: str) -> str:

@@ -333,6 +333,10 @@ class RunConfig:
 _SECRET_KEYS = ("bits", "lambdas", "thetas", "phis")
 
 
+# Floats per hashed chunk: the ``+ 0.0`` temporary stays at 64 KiB at any n.
+_FINGERPRINT_CHUNK = 8192
+
+
 def _fingerprint(state: StateVector) -> str:
     """First 16 hex digits of SHA-256 over the amplitudes as little-endian
     float64 (re, im) pairs; ``+ 0.0`` turns -0.0 into 0.0 before hashing.
@@ -342,8 +346,12 @@ def _fingerprint(state: StateVector) -> str:
     cache = vars(state)
     fp = cache.get("_fingerprint")
     if fp is None:
-        pairs = (state.amps.view(np.float64) + 0.0).astype("<f8", copy=False)
-        fp = cache["_fingerprint"] = hashlib.sha256(pairs).hexdigest()[:16]
+        floats = state.amps.view(np.float64)
+        step = _FINGERPRINT_CHUNK
+        digest = hashlib.sha256((floats[:step] + 0.0).astype("<f8", copy=False))
+        for start in range(step, floats.size, step):
+            digest.update((floats[start:start + step] + 0.0).astype("<f8", copy=False))
+        fp = cache["_fingerprint"] = digest.hexdigest()[:16]
     return fp
 
 

@@ -1,7 +1,9 @@
 """Adversary models: forgery statistics, impersonation and tampering outcomes."""
 
+import hashlib
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from aqs.attacks import (
     AttackReport,
     KNOWLEDGE_LEVELS,
     SIGMA_CLASSES,
+    _fresh_session,
     apply_pauli_string,
     forgery_sweep,
     honest_package,
@@ -23,11 +26,15 @@ from aqs.attacks import (
 )
 from aqs.cipher import EulerMode, Scheme
 from aqs.errors import ConfigError
+from aqs.keys import chained_tag, random_bits, tag_of_bits
 from aqs.protocol import (
     EXACT_ACCEPT_THRESHOLD,
+    SIGNER,
+    VERIFIER,
     MessageSpec,
     ProtocolSession,
     RunConfig,
+    SignaturePackage,
     TamperSpec,
     Wiring,
 )
@@ -245,6 +252,69 @@ class TestImpersonation:
         a = impersonation_attempt(n=6, trials=50, seed=5)
         b = impersonation_attempt(n=6, trials=50, seed=5)
         assert a.to_json_dict() == b.to_json_dict()
+
+
+class TestImpersonationGuessStream:
+    """At the ``none`` level guess t is bits [t*n, (t+1)*n) of one stream,
+    ``random_bits(trials * n, default_rng([seed, 1]))``, whatever the chunking."""
+
+    def test_shorter_run_is_a_prefix_across_chunk_boundaries(self):
+        short = impersonation_attempt(6, 700, 8, collect_details=True)
+        long = impersonation_attempt(6, 1300, 8, collect_details=True)
+        assert short.hash_pass_count > 0
+        assert long.details[:700] == short.details
+
+    def test_hash_pass_is_the_chained_tag_of_each_guess(self):
+        n, trials, seed = 4, 1100, 21
+        report = impersonation_attempt(n, trials, seed, collect_details=True)
+        session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL,
+                                 np.random.default_rng([seed, 0]))
+        key = session.ledger.lookup(SIGNER, "identity-key")
+        blind = session.ledger.lookup(VERIFIER, "blind-key")
+        stream = random_bits(trials * n, np.random.default_rng([seed, 1]))
+        guesses = [stream[t * n:(t + 1) * n] for t in range(trials)]
+        target = chained_tag(key, blind)
+        want = [chained_tag(g, blind) == target for g in guesses]
+        assert [d["hash_pass"] for d in report.details] == want
+        assert report.hash_pass_count == sum(want) > 0
+        # A pass signs a message and signature drawn from [seed, 2, t].
+        for d in [d for d in report.details if d["hash_pass"]][:5]:
+            rng = np.random.default_rng([seed, 2, d["trial"]])
+            pkg = SignaturePackage(
+                message=MessageSpec.random_product(n, rng).prepare(),
+                signature=MessageSpec.random_product(n, rng).prepare(),
+                tag=tag_of_bits(guesses[d["trial"]]),
+            )
+            out = session.kgc_verify(session.verifier_forward(pkg))
+            assert (out.accepted, out.overlap_sq) == (d["accepted"], d["overlap_sq"])
+
+    @pytest.mark.parametrize("knowledge, digest", [
+        ("key", "d19f6305cb7366f57e82d71088bdab594e868acd6edb1ba67546a83b6866e323"),
+        ("key-and-lambda",
+         "d3d0e40351186c8626eb38dc604a9bb0e0476283732a924e5d46c3e9845587bf"),
+    ])
+    def test_key_levels_keep_their_bytes(self, knowledge, digest):
+        # SHA-256 of the verbose report JSON, as the per-trial [seed, 1, t]
+        # stream gave it before the none level moved to one stream.
+        report = impersonation_attempt(4, 20, 5, knowledge=knowledge,
+                                       collect_details=True)
+        text = reports_to_json([report], verbose=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_memory_does_not_grow_with_rejections(self):
+        # n = 20 passes the gate about 3 times in 2^20, so neither run has a
+        # pass; without details a rejection must leave nothing behind.
+        impersonation_attempt(20, 10, 0)  # imports and caches outside the trace
+        peaks = []
+        for trials in (600, 12_000):
+            tracemalloc.start()
+            try:
+                report = impersonation_attempt(20, trials, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert (report.trials, report.hash_pass_count) == (trials, 0)
+        assert peaks[1] - peaks[0] < 16 * 1024
 
 
 class TestTamperInTransit:

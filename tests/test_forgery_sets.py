@@ -11,8 +11,9 @@ import pytest
 
 from aqs.attacks import honest_package, pauli_forgery
 from aqs.cipher import EulerMode, Scheme
-from aqs.keys import derive_permutation, random_bits
-from aqs.protocol import MessageSpec, ProtocolSession, RunConfig
+from aqs.keys import derive_permutation, random_bits, tag_of_bits
+from aqs.protocol import MessageSpec, ProtocolSession, RunConfig, SignaturePackage
+from aqs.qstate import basis_state
 
 from oracles import chained_cu_matrix, local_layer_matrix, pauli_string_matrix
 
@@ -92,3 +93,43 @@ class TestCnotQubitZero:
         fixing = [key for key in all_keys if derive_permutation(key)[0] == 0]
         assert len(fixing) == 2 ** (n - 1) + 1
         assert passed == {letter: fixing for letter in "XYZ"}
+
+
+class TestReplayedTag:
+    """The tag is H(K) of the identity key and travels in clear, so one read
+    of it passes the hash gate in every session that reuses K. In diagonal
+    mode U|x> is a phase times |x>, so the pair (|x>, |x>) then passes the
+    state compare too, with no signature of |x> and whatever the angles."""
+
+    @staticmethod
+    def replay(n: int, key: str, seed: int, mode: EulerMode, x: int):
+        message = MessageSpec.random_product(n, np.random.default_rng([seed, n]))
+        config = RunConfig(n=n, message=message, scheme=Scheme.CHAINED_CU,
+                           euler_mode=mode, inject_key_bits=key,
+                           seed_lambda=seed)
+        session = ProtocolSession(config)
+        session.setup()
+        session.register_lambda(1)
+        chosen = basis_state(n, x)
+        pkg = SignaturePackage(message=chosen, signature=chosen,
+                               tag=tag_of_bits(key))
+        return session, session.kgc_verify(session.verifier_forward(pkg))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("mode", [EulerMode.DIAGONAL, EulerMode.GENERAL])
+    def test_replayed_tag_forges_diagonal_mode_only(self, n, mode):
+        rng = np.random.default_rng([12, n])
+        keys = [random_bits(n, rng) for _ in range(3)] + ["1" * n]
+        for k, key in enumerate(keys):
+            for x in rng.choice(2 ** n, size=min(4, 2 ** n), replace=False):
+                session, out = self.replay(n, key, 100 * n + k, mode, int(x))
+                assert out.stage == "state-compare"  # the tag alone passes the gate
+                assert out.accepted == (mode is EulerMode.DIAGONAL)
+                if n <= 4:
+                    # The arbiter compares U^dag|x> with |x>: |<x|U|x>|^2.
+                    ctx = session.context_for()
+                    rotations = [ctx.rotation(j) for j in range(n)]
+                    u = (local_layer_matrix(n, rotations)
+                         @ chained_cu_matrix(n, ctx.perm, rotations))
+                    want = min(abs(u[x, x]) ** 2, 1.0)
+                    assert out.overlap_sq == pytest.approx(want, abs=1e-10)

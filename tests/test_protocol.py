@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -761,3 +762,29 @@ class TestFingerprint:
         flipped = amps.copy()
         flipped[5] = -flipped[5]
         assert _fingerprint(StateVector(3, amps)) != _fingerprint(StateVector(3, flipped))
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 14])
+    def test_chunked_hash_equals_one_pass(self, n):
+        # The hash runs over 8,192-float chunks: n = 12 fills one exactly,
+        # n = 13 and 14 span two and four. Put -0.0 on and around the edges.
+        amps = random_state(n, np.random.default_rng([7, n]))
+        floats = amps.view(np.float64)
+        for edge in (0, 8191, 8192, 8193, 16383, 16384, floats.size - 1):
+            if edge < floats.size:
+                floats[edge] = 0.0
+        amps /= np.linalg.norm(amps)
+        np.negative(floats, out=floats, where=floats == 0.0)
+        assert np.signbit(floats[floats == 0.0]).all()
+        one_pass = (floats + 0.0).astype("<f8", copy=False)
+        expected = hashlib.sha256(one_pass).hexdigest()[:16]
+        assert _fingerprint(StateVector(n, amps)) == expected
+
+    def test_no_state_sized_temporary(self):
+        state = basis_state(16, 5)  # 1 MiB of amplitudes
+        tracemalloc.start()
+        try:
+            _fingerprint(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20 // 8

@@ -14,9 +14,10 @@ covers two groups of library outputs:
   and n = 4 and 7: the transcript JSON with and without secrets, the gate
   events, the circuit report, the recovered amplitude bytes, the histogram
   CSV and the stored proof;
-* ``forgery_sweep(n=3, trials=20, seed=11, collect_details=True)`` and
-  ``impersonation_attempt(4, 300, 5)`` at every knowledge level, as verbose
-  report JSON.
+* ``forgery_sweep(n=3, trials=20, seed=11, collect_details=True)``,
+  ``impersonation_attempt(4, 300, 5)`` at every knowledge level and
+  ``impersonation_attempt(4, 1300, 6)`` at the ``none`` level, whose key
+  guesses span three chunks of the guess stream, as verbose report JSON.
 
 The second covers the command line: the exit code, the stdout and every file
 written under ``--out`` for each call in :data:`CLI_CALLS`, which span all four
@@ -159,6 +160,8 @@ def attack_outputs():
         report = attacks.impersonation_attempt(
             4, 300, 5, knowledge=knowledge, collect_details=True)
         yield attacks.reports_to_json([report], verbose=True).encode()
+    report = attacks.impersonation_attempt(4, 1300, 6, collect_details=True)
+    yield attacks.reports_to_json([report], verbose=True).encode()
 
 
 # ``{out}`` is a fresh output directory per call, ``{csv}`` holds COMPARE_CSV.
