@@ -12,7 +12,7 @@ signature from ``[seed, 2, t]``. At the other levels trial t draws from
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, fields, replace as dc_replace
 from typing import Any
 
 import numpy as np
@@ -30,6 +30,7 @@ from .protocol import (
     TamperSpec,
     VerificationOutcome,
     _check_seed,
+    registered_session,
     run_protocol,
 )
 from .qstate import StateVector
@@ -129,18 +130,8 @@ class AttackReport:
         )
 
     def to_json_dict(self, verbose: bool = False) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "scheme": self.scheme,
-            "euler_mode": self.euler_mode,
-            "sigma_class": self.sigma_class,
-            "trials": self.trials,
-            "accept_count": self.accept_count,
-            "accept_rate": self.accept_rate,
-            "mean_overlap_sq": self.mean_overlap_sq,
-            "min_overlap_sq": self.min_overlap_sq,
-            "max_overlap_sq": self.max_overlap_sq,
-            "hash_pass_count": self.hash_pass_count,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
+        out["accept_rate"] = self.accept_rate
         if verbose and self.details is not None:
             out["details"] = list(self.details)
         return out
@@ -210,19 +201,15 @@ def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
 def _fresh_session(n: int, scheme: Scheme, euler_mode: EulerMode,
                    rng: np.random.Generator) -> ProtocolSession:
     seeds = rng.integers(0, 2 ** 31, size=3)
-    config = RunConfig(
+    return registered_session(RunConfig(
         n=n,
         message=MessageSpec.random_product(n, rng),
         scheme=scheme,
-        euler_mode=euler_mode if scheme is Scheme.CHAINED_CU else EulerMode.DIAGONAL,
+        euler_mode=euler_mode,
         seed_keys=int(seeds[0]),
         seed_lambda=int(seeds[1]),
         seed_shots=int(seeds[2]),
-    )
-    session = ProtocolSession(config)
-    session.setup()
-    session.register_lambda(1)
-    return session
+    ))
 
 
 SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (

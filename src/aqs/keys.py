@@ -71,14 +71,6 @@ def pack_bits(bits: str) -> bytes:
     return _pack_int(int(bits, 2), len(bits))
 
 
-def hash_tag(data: bytes, n: int) -> str:
-    """n-bit tag: SHAKE-256 of ``data``, truncated to the first n bits."""
-    if n < 1:
-        raise ConfigError(f"tag length must be positive, got {n}")
-    digest = hashlib.shake_256(data).digest((n + 7) // 8)
-    return format(int.from_bytes(digest, "big") >> (-n % 8), f"0{n}b")
-
-
 def _tag_of_int(value: int, length: int, out_bits: int) -> int:
     """:func:`tag_of_bits` on ints: the tag of ``value`` read as a ``length``-bit
     string, as an ``out_bits``-bit int. Callers check the arguments."""

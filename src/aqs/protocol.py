@@ -168,11 +168,7 @@ class TamperSpec:
             raise ConfigError("tag_flip_bit must be non-negative")
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "channel": self.channel,
-            "message_pauli": self.message_pauli,
-            "tag_flip_bit": self.tag_flip_bit,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 def _flip_bit(bits: str, index: int) -> str:
@@ -188,36 +184,22 @@ def _flip_bit(bits: str, index: int) -> str:
 
 @dataclass(frozen=True)
 class SignaturePackage:
-    """What the signer emits: clear message copy, signature state, identity tag."""
+    """Signature state, identity tag and clear message copy, on either hop.
 
-    message: StateVector
-    signature: StateVector
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.message.n != self.signature.n:
-            raise ConfigError(
-                f"message has {self.message.n} qubits, signature {self.signature.n}"
-            )
-        if len(self.tag) != self.message.n:
-            raise ConfigError(
-                f"tag length {len(self.tag)} != qubit count {self.message.n}"
-            )
-
-
-@dataclass(frozen=True)
-class ForwardedPackage:
-    """What the verifier hands the arbiter; message is absent in direct wiring."""
+    The signer emits all three; the verifier forwards the message only under
+    relay wiring, so the arbiter's copy holds none under direct wiring.
+    """
 
     signature: StateVector
     tag: str
     message: StateVector | None = None
 
     def __post_init__(self) -> None:
-        if self.message is not None and self.message.n != self.signature.n:
-            raise ConfigError(
-                f"message has {self.message.n} qubits, signature {self.signature.n}"
-            )
+        n = self.signature.n
+        if self.message is not None and self.message.n != n:
+            raise ConfigError(f"message has {self.message.n} qubits, signature {n}")
+        if len(self.tag) != n:
+            raise ConfigError(f"tag length {len(self.tag)} != qubit count {n}")
 
 
 @dataclass(frozen=True)
@@ -231,13 +213,7 @@ class VerificationOutcome:
     swap_ones: int | None = None
 
     def to_payload(self) -> dict[str, Any]:
-        return {
-            "accepted": self.accepted,
-            "stage": self.stage,
-            "overlap_sq": self.overlap_sq,
-            "pass_probability": self.pass_probability,
-            "swap_ones": self.swap_ones,
-        }
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 @dataclass(frozen=True)
@@ -576,7 +552,7 @@ class ProtocolSession:
 
     # -- phase 4a: verifier blinds and forwards
 
-    def verifier_forward(self, pkg: SignaturePackage) -> ForwardedPackage:
+    def verifier_forward(self, pkg: SignaturePackage) -> SignaturePackage:
         if self._verifier_key is None:
             raise AqsError("session not set up; verifier holds no key")
         if len(pkg.tag) != len(self._verifier_key):
@@ -586,18 +562,17 @@ class ProtocolSession:
             )
         blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, self._verifier_key))
         message = pkg.message if self.config.wiring is Wiring.RELAY else None
-        fwd = ForwardedPackage(signature=pkg.signature, tag=blinded, message=message)
         self.transcript.append(
             "forward", VERIFIER, KGC,
             {"tag": blinded,
              "message_fp": None if message is None else _fingerprint(message),
              "signature_fp": _fingerprint(pkg.signature)},
         )
-        return fwd
+        return SignaturePackage(signature=pkg.signature, tag=blinded, message=message)
 
     # -- phase 4b: arbiter verification
 
-    def kgc_verify(self, fwd: ForwardedPackage) -> VerificationOutcome:
+    def kgc_verify(self, fwd: SignaturePackage) -> VerificationOutcome:
         cfg = self.config
         if self._key_bits is None:
             raise AqsError("session not set up; the arbiter holds no key")
@@ -687,8 +662,15 @@ class ProtocolResult:
     ops: OpList
 
 
-def _tamper(package: SignaturePackage | ForwardedPackage,
-            spec: TamperSpec) -> SignaturePackage | ForwardedPackage:
+def registered_session(config: RunConfig) -> ProtocolSession:
+    """A session for ``config`` after trusted setup and angle registration."""
+    session = ProtocolSession(config)
+    session.setup()
+    session.register_lambda(1)
+    return session
+
+
+def _tamper(package: SignaturePackage, spec: TamperSpec) -> SignaturePackage:
     """The package as it arrives after ``spec`` modified it in transit."""
     from .attacks import apply_pauli_string  # call-time import avoids a cycle
 
@@ -710,9 +692,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     Returns the full result bundle; the transcript alone suffices to replay
     the run (it embeds the config and all seeds).
     """
-    session = ProtocolSession(config)
-    session.setup()
-    session.register_lambda(1)
+    session = registered_session(config)
 
     # The protocol prepares two copies from one recipe: the register to sign
     # and the clear copy the arbiter compares against. States are immutable,
@@ -772,10 +752,7 @@ def honest_gate_events(config: RunConfig) -> OpList:
     """The gate events :func:`run_protocol` logs for an honest run of ``config``
     (no tamper), read from the circuits that setup and angle registration
     build: no state is prepared."""
-    session = ProtocolSession(config)
-    session.setup()
-    session.register_lambda(1)
-    signing, recovery = session._circuits
+    signing, recovery = registered_session(config)._circuits
     return (_pseudo_gates("initialize", config.n)
             + [(name, qubits) for name, qubits, _ in signing + recovery]
             + _pseudo_gates("measure", config.n))

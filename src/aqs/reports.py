@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -69,10 +69,7 @@ class DepthReport:
         )
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "sequential_depth": self.sequential_depth,
-            "asap_depth": self.asap_depth,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def sequential_depth(ops: OpList) -> int:

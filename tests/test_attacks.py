@@ -37,6 +37,7 @@ from aqs.protocol import (
     SignaturePackage,
     TamperSpec,
     Wiring,
+    registered_session,
 )
 from aqs.qstate import StateVector, basis_state
 
@@ -50,18 +51,14 @@ from oracles import (
 
 def forgery_session(n: int, scheme: Scheme, seed: int,
                     euler_mode: EulerMode = EulerMode.DIAGONAL) -> ProtocolSession:
-    cfg = RunConfig(
+    return registered_session(RunConfig(
         n=n,
         message=MessageSpec.random_product(n, np.random.default_rng(seed)),
         scheme=scheme,
         euler_mode=euler_mode,
         seed_keys=seed,
         seed_lambda=seed + 1,
-    )
-    session = ProtocolSession(cfg)
-    session.setup()
-    session.register_lambda(1)
-    return session
+    ))
 
 
 class TestPauliString:

@@ -12,17 +12,28 @@ import pytest
 from aqs.attacks import honest_package, pauli_forgery
 from aqs.cipher import EulerMode, Scheme
 from aqs.keys import derive_permutation, random_bits, tag_of_bits
-from aqs.protocol import MessageSpec, ProtocolSession, RunConfig, SignaturePackage
-from aqs.qstate import basis_state
+from aqs.protocol import MessageSpec, RunConfig, SignaturePackage, registered_session
+from aqs.qstate import StateVector, basis_state
 
-from oracles import chained_cu_matrix, local_layer_matrix, pauli_string_matrix
+from oracles import (
+    chained_cu_matrix,
+    cnot_chain_matrix,
+    local_layer_matrix,
+    pauli_string_matrix,
+)
 
 
 def signed_session(config: RunConfig):
-    session = ProtocolSession(config)
-    session.setup()
-    session.register_lambda(1)
+    session = registered_session(config)
     return session, honest_package(session)
+
+
+def signature_matrix(session) -> np.ndarray:
+    """The full-matrix cu signature unitary U of a registered session."""
+    n = session.config.n
+    ctx = session.context_for()
+    rotations = [ctx.rotation(j) for j in range(n)]
+    return local_layer_matrix(n, rotations) @ chained_cu_matrix(n, ctx.perm, rotations)
 
 
 def accepted_strings(config: RunConfig) -> list[str]:
@@ -30,9 +41,7 @@ def accepted_strings(config: RunConfig) -> list[str]:
     checked against the full-matrix signature unitary."""
     n = config.n
     session, pkg = signed_session(config)
-    ctx = session.context_for()
-    rotations = [ctx.rotation(j) for j in range(n)]
-    u = local_layer_matrix(n, rotations) @ chained_cu_matrix(n, ctx.perm, rotations)
+    u = signature_matrix(session)
     m = pkg.message.amps
     accepted = []
     for letters in itertools.product("IXYZ", repeat=n):
@@ -95,6 +104,57 @@ class TestCnotQubitZero:
         assert passed == {letter: fixing for letter in "XYZ"}
 
 
+# Every key at n = 2 and 3, and six at n = 4.
+CNOT_KEYS = ([(n, "".join(bits)) for n in (2, 3)
+              for bits in itertools.product("01", repeat=n)]
+             + [(4, key) for key in ("0000", "1000", "0110", "1011", "0111", "1101")])
+
+
+class TestCnotBasisMessage:
+    """The cnot chain maps |x> to |Lx> for an invertible L over GF(2). On a
+    basis message the arbiter compares |x + L^-1 a> with |x + a>, up to a
+    phase, so sigma = X^a Z^b passes exactly when La = a, whatever b is."""
+
+    @pytest.mark.parametrize("n,key", CNOT_KEYS)
+    def test_forgery_passes_when_the_chain_fixes_its_x_part(self, n, key):
+        message = basis_message(n, int(key, 2))
+        config = RunConfig(n=n, message=message, scheme=Scheme.CHAINED_CNOT,
+                           inject_key_bits=key)
+        session, pkg = signed_session(config)
+        chain = cnot_chain_matrix(n, derive_permutation(key))
+        for letters in itertools.product("IXYZ", repeat=n):
+            sigma = "".join(letters)
+            # a is sigma's X part, qubit 0 first: the column of |a>, whose one
+            # nonzero entry sits in row La.
+            a = int("".join("1" if ch in "XY" else "0" for ch in sigma), 2)
+            assert pauli_forgery(session, pkg, sigma).accepted == (chain[a, a] == 1)
+
+
+class TestDiagonalUnitary:
+    """A diagonal W = diag(e^{i theta_x}) commutes with the diagonal-mode U,
+    so the pair (W|m>, W|S>) with the honest tag passes the arbiter for every
+    message; the general-mode U does not commute with it."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("mode", [EulerMode.DIAGONAL, EulerMode.GENERAL])
+    def test_diagonal_unitary_forges_diagonal_mode_only(self, n, mode):
+        for seed in range(10):
+            rng = np.random.default_rng([13, n, seed])
+            config = cu_config(n, seed, mode, MessageSpec.random_product(n, rng))
+            session, pkg = signed_session(config)
+            w = np.exp(1j * rng.uniform(0.0, 2 * np.pi, 2 ** n))
+            forged = SignaturePackage(
+                signature=StateVector(n, w * pkg.signature.amps), tag=pkg.tag,
+                message=StateVector(n, w * pkg.message.amps),
+            )
+            out = session.kgc_verify(session.verifier_forward(forged))
+            assert out.accepted == (mode is EulerMode.DIAGONAL)
+            # The arbiter compares U^dag W U|m> with W|m>.
+            u, m = signature_matrix(session), pkg.message.amps
+            want = min(abs(np.vdot(w * m, u.conj().T @ (w * (u @ m)))) ** 2, 1.0)
+            assert out.overlap_sq == pytest.approx(want, abs=1e-10)
+
+
 class TestReplayedTag:
     """The tag is H(K) of the identity key and travels in clear, so one read
     of it passes the hash gate in every session that reuses K. In diagonal
@@ -107,9 +167,7 @@ class TestReplayedTag:
         config = RunConfig(n=n, message=message, scheme=Scheme.CHAINED_CU,
                            euler_mode=mode, inject_key_bits=key,
                            seed_lambda=seed)
-        session = ProtocolSession(config)
-        session.setup()
-        session.register_lambda(1)
+        session = registered_session(config)
         chosen = basis_state(n, x)
         pkg = SignaturePackage(message=chosen, signature=chosen,
                                tag=tag_of_bits(key))
@@ -127,9 +185,5 @@ class TestReplayedTag:
                 assert out.accepted == (mode is EulerMode.DIAGONAL)
                 if n <= 4:
                     # The arbiter compares U^dag|x> with |x>: |<x|U|x>|^2.
-                    ctx = session.context_for()
-                    rotations = [ctx.rotation(j) for j in range(n)]
-                    u = (local_layer_matrix(n, rotations)
-                         @ chained_cu_matrix(n, ctx.perm, rotations))
-                    want = min(abs(u[x, x]) ** 2, 1.0)
+                    want = min(abs(signature_matrix(session)[x, x]) ** 2, 1.0)
                     assert out.overlap_sq == pytest.approx(want, abs=1e-10)

@@ -26,7 +26,6 @@ from aqs.protocol import (
     MAX_SHOTS,
     SIGNER,
     VERIFIER,
-    ForwardedPackage,
     MessageSpec,
     ProtocolSession,
     RunConfig,
@@ -36,6 +35,7 @@ from aqs.protocol import (
     Wiring,
     _fingerprint,
     honest_gate_events,
+    registered_session,
     run_protocol,
 )
 from aqs.qstate import StateVector, basis_state, overlap_sq
@@ -63,13 +63,6 @@ def plain_config(**overrides) -> RunConfig:
     base = dict(n=4, message=MessageSpec.classical("0110"))
     base.update(overrides)
     return RunConfig(**base)
-
-
-def honest_session(config: RunConfig) -> ProtocolSession:
-    session = ProtocolSession(config)
-    session.setup()
-    session.register_lambda(1)
-    return session
 
 
 class TestParties:
@@ -178,30 +171,48 @@ class TestTamperSpec:
             TamperSpec(channel="signer-verifier", tag_flip_bit=-1)
 
 
+class TestSignaturePackage:
+    def test_message_is_optional(self):
+        sig = basis_state(3, 5)
+        assert SignaturePackage(signature=sig, tag="101").message is None
+
+    def test_message_must_match_the_signature(self):
+        with pytest.raises(ConfigError, match=r"message has 2 qubits, signature 3"):
+            SignaturePackage(signature=basis_state(3, 0), tag="101",
+                             message=basis_state(2, 0))
+
+    @pytest.mark.parametrize("with_message", [True, False])
+    def test_tag_has_one_bit_per_qubit(self, with_message):
+        sig = basis_state(3, 0)
+        with pytest.raises(ConfigError, match=r"tag length 2 != qubit count 3"):
+            SignaturePackage(signature=sig, tag="10",
+                             message=sig if with_message else None)
+
+
 class TestSetup:
     def test_injected_key_fixes_permutation(self):
-        session = honest_session(demo_config())
+        session = registered_session(demo_config())
         assert session._key_bits == "1010"
         assert session._ctx.perm == (1, 3, 0, 2)
 
     def test_deterministic_across_sessions(self):
-        a = honest_session(plain_config())
-        b = honest_session(plain_config())
+        a = registered_session(plain_config())
+        b = registered_session(plain_config())
         assert a._key_bits == b._key_bits
         assert a._verifier_key == b._verifier_key
 
     def test_seed_changes_keys(self):
-        a = honest_session(plain_config())
-        b = honest_session(plain_config(seed_keys=99))
+        a = registered_session(plain_config())
+        b = registered_session(plain_config(seed_keys=99))
         assert a._key_bits != b._key_bits or a._verifier_key != b._verifier_key
 
     def test_qotp_gets_pad_key(self):
-        session = honest_session(plain_config(scheme=Scheme.QOTP))
+        session = registered_session(plain_config(scheme=Scheme.QOTP))
         assert len(session._ctx.qotp_key) == 8
         assert session.ledger.lookup("signer_1", "pad-key") == session._ctx.qotp_key
 
     def test_unknown_signer(self):
-        session = honest_session(plain_config())
+        session = registered_session(plain_config())
         lambdas = session._lambdas
         events = len(session.transcript.events)
         for index in (0, 2, 7):
@@ -213,7 +224,7 @@ class TestSetup:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_refused_second_setup_keeps_delivered_keys(self, scheme):
         cfg = plain_config(scheme=scheme)
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         before = (session._key_bits, session._ctx, session._verifier_key)
         circuits = session._circuits
         events = len(session.transcript.events)
@@ -233,7 +244,7 @@ class TestSetup:
             session.register_lambda(1)
         with pytest.raises(AqsError, match=r"session not set up; the signer holds no key"):
             session.sign(msg)
-        fwd = ForwardedPackage(signature=msg, tag="0000", message=msg)
+        fwd = SignaturePackage(signature=msg, tag="0000", message=msg)
         with pytest.raises(AqsError, match=r"session not set up; the arbiter holds no key"):
             session.kgc_verify(fwd)
         assert session.transcript.events == []
@@ -284,33 +295,33 @@ class TestSigning:
     def test_identity_parameters_leave_message_unchanged(self):
         # Key 0000 has no chain links and lambda = 0 makes the local layer I.
         cfg = plain_config(inject_key_bits="0000", inject_lambdas=(0.0,) * 4)
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         msg = cfg.message.prepare()
         pkg = session.sign(msg)
         np.testing.assert_allclose(pkg.signature.amps, msg.amps, atol=1e-15)
 
     def test_tag_is_hash_of_identity_key(self):
-        session = honest_session(demo_config())
+        session = registered_session(demo_config())
         pkg = session.sign(demo_config().message.prepare())
         assert pkg.tag == tag_of_bits("1010")
         assert pkg.tag == "1000"
 
     def test_signature_differs_from_message(self):
         cfg = demo_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         msg = cfg.message.prepare()
         pkg = session.sign(msg)
         assert overlap_sq(pkg.signature, msg) < 1.0 - 1e-3
 
     def test_wrong_size_message(self):
-        session = honest_session(plain_config())
+        session = registered_session(plain_config())
         with pytest.raises(ConfigError, match=r"context is for n=4, state has n=2"):
             session.sign(MessageSpec.classical("01").prepare())
 
     def test_signing_is_deterministic(self):
         cfg = demo_config()
-        a = honest_session(cfg).sign(cfg.message.prepare())
-        b = honest_session(cfg).sign(cfg.message.prepare())
+        a = registered_session(cfg).sign(cfg.message.prepare())
+        b = registered_session(cfg).sign(cfg.message.prepare())
         np.testing.assert_array_equal(a.signature.amps, b.signature.amps)
         assert a.tag == b.tag
 
@@ -318,7 +329,7 @@ class TestSigning:
 class TestForwardAndVerify:
     def test_blinded_tag_matches_chained_recomputation(self):
         cfg = demo_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
         assert fwd.tag == tag_of_bits(xor_bits(pkg.tag, session._verifier_key))
@@ -326,7 +337,7 @@ class TestForwardAndVerify:
 
     def test_honest_run_accepts_exactly(self):
         cfg = plain_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         msg = cfg.message.prepare()
         pkg = session.sign(msg)
         outcome = session.kgc_verify(session.verifier_forward(pkg))
@@ -336,7 +347,7 @@ class TestForwardAndVerify:
 
     def test_flipped_tag_fails_at_hash_stage(self):
         cfg = plain_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
         bad = dataclasses.replace(fwd, tag="1" + fwd.tag[1:])
@@ -349,7 +360,7 @@ class TestForwardAndVerify:
 
     def test_replaced_signature_rejected(self):
         cfg = plain_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         pkg = session.sign(cfg.message.prepare())
         junk = StateVector(4, random_state(4, np.random.default_rng(123)))
         forged = SignaturePackage(message=pkg.message, signature=junk, tag=pkg.tag)
@@ -360,7 +371,7 @@ class TestForwardAndVerify:
 
     def test_direct_wiring_needs_direct_message(self):
         cfg = plain_config(wiring=Wiring.DIRECT)
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
         assert fwd.message is None
@@ -369,7 +380,7 @@ class TestForwardAndVerify:
 
     def test_direct_wiring_full_flow(self):
         cfg = plain_config(wiring=Wiring.DIRECT)
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         msg = cfg.message.prepare()
         pkg = session.sign(msg)
         session.send_message_direct(cfg.message.prepare())
@@ -392,7 +403,7 @@ class TestForwardAndVerify:
 
     def test_sampled_mode_honest(self):
         cfg = plain_config(verify_mode=VerifyMode.SAMPLED)
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         pkg = session.sign(cfg.message.prepare())
         outcome = session.kgc_verify(session.verifier_forward(pkg))
         assert outcome.accepted
@@ -401,7 +412,7 @@ class TestForwardAndVerify:
 
     def test_proof_stored_only_on_accept(self):
         cfg = plain_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         with pytest.raises(AqsError, match=r"no accepted signature proof stored"):
             session.arbitrate_dispute()
         pkg = session.sign(cfg.message.prepare())
@@ -439,7 +450,7 @@ class TestPhaseGateEvents:
     def test_sign_and_verify_log_their_op_lists(self, scheme, mode, skipped):
         # Key 0101 gives the permutation (0, 2, 1, 3): slots 0 and 3 are fixed.
         cfg = plain_config(scheme=scheme, euler_mode=mode, inject_key_bits="0101")
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         ctx = session.context_for()
         signed = signature_ops(ctx)
         pkg, events = phase_events(session,
@@ -460,7 +471,7 @@ class TestPhaseGateEvents:
         assert outcome.accepted
 
     def test_deliveries_ride_qkd(self):
-        session = honest_session(plain_config(scheme=Scheme.QOTP))
+        session = registered_session(plain_config(scheme=Scheme.QOTP))
         deliveries = [e for e in session.transcript.events if e["type"] == "delivery"]
         assert [e["payload"]["purpose"] for e in deliveries] == [
             "identity-key", "pad-key", "blind-key",
@@ -495,7 +506,7 @@ class TestCircuitsBuiltOnce:
 
     def test_phases_run_the_stored_circuits(self, monkeypatch):
         cfg = plain_config(euler_mode=EulerMode.GENERAL)
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         signing, recovery = session._circuits
         ran = []
         real = cipher.run
@@ -505,7 +516,7 @@ class TestCircuitsBuiltOnce:
         assert ran[0] is signing and ran[1] is recovery
 
     def test_stored_circuit_matrices_are_read_only(self):
-        session = honest_session(plain_config(euler_mode=EulerMode.GENERAL))
+        session = registered_session(plain_config(euler_mode=EulerMode.GENERAL))
         for circuit in session._circuits:
             assert isinstance(circuit, tuple)
             for _, _, gate in circuit:
@@ -514,7 +525,7 @@ class TestCircuitsBuiltOnce:
 
     def test_reregistration_rebuilds_the_circuits(self):
         cfg = plain_config()
-        session = honest_session(cfg)
+        session = registered_session(cfg)
         first = session._circuits
         session.register_lambda(1)
         assert session._circuits is not first
