@@ -198,19 +198,20 @@ def _compare(result, args: argparse.Namespace) -> float | None:
     return tv
 
 
-def _emit_run_outputs(result, args: argparse.Namespace) -> None:
-    print(_outcome_line(result.outcome))
+def _emit_run_outputs(result, args: argparse.Namespace, files: dict[str, str]) -> None:
+    """Print the ``--compare`` distance, then write ``files`` under ``--out``
+    with the transcript, the histogram and the comparison added."""
     tv = _compare(result, args)
     if args.out is None:
         return
-    _write(args.out, "transcript.json",
-           result.transcript.to_json(reveal_secrets=args.reveal_secrets) + "\n")
-    _write(args.out, "outcome.csv", result.transcript.summary_csv_row())
+    files["transcript.json"] = (
+        result.transcript.to_json(reveal_secrets=args.reveal_secrets) + "\n")
     if result.histogram is not None:
-        _write(args.out, "histogram.csv", result.histogram.to_csv())
+        files["histogram.csv"] = result.histogram.to_csv()
     if tv is not None:
-        _write(args.out, "comparison.json",
-               json.dumps({"tv_distance": tv}, sort_keys=True) + "\n")
+        files["comparison.json"] = json.dumps({"tv_distance": tv}, sort_keys=True) + "\n"
+    for name, text in files.items():
+        _write(args.out, name, text)
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
@@ -226,7 +227,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         inject_key_bits=DEMO_KEY_BITS,
         inject_lambdas=DEMO_LAMBDAS,
     )
-    result = run_protocol(config)
+    result = run_protocol(config, sample_histogram=args.out is not None)
     initial = qstate.distribution(result.message_state)
     gate = reports.GateCountReport.from_ops(result.ops)
     depth = reports.DepthReport.from_ops(result.ops)
@@ -237,28 +238,21 @@ def cmd_demo(args: argparse.Namespace) -> int:
     print(f"gate_total={gate.total} sequential_depth={depth.sequential_depth} "
           f"asap_depth={depth.asap_depth}")
 
-    tv = _compare(result, args)
-    if args.out is not None:
-        _write(args.out, "initial_distribution.csv",
-               reports.distribution_to_csv(initial))
-        _write(args.out, "post_distribution.csv",
-               reports.distribution_to_csv(
-                   qstate.distribution(result.recovered_state)))
-        _write(args.out, "histogram.csv", result.histogram.to_csv())
-        _write(args.out, "transcript.json",
-               result.transcript.to_json(reveal_secrets=args.reveal_secrets) + "\n")
-        _write(args.out, "report.json", reports.circuit_report_json(result.ops) + "\n")
-        if tv is not None:
-            _write(args.out, "comparison.json",
-                   json.dumps({"tv_distance": tv}, sort_keys=True) + "\n")
-
+    _emit_run_outputs(result, args, {
+        "initial_distribution.csv": reports.distribution_to_csv(initial),
+        "post_distribution.csv": reports.distribution_to_csv(
+            qstate.distribution(result.recovered_state)),
+        "report.json": reports.circuit_report_json(result.ops) + "\n",
+    })
     return EXIT_OK if result.outcome.accepted else EXIT_REJECTED
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args, seed_shots=args.seed_shots, shots=args.shots)
-    result = run_protocol(config)
-    _emit_run_outputs(result, args)
+    result = run_protocol(config, sample_histogram=args.out is not None)
+    print(_outcome_line(result.outcome))
+    _emit_run_outputs(result, args,
+                      {"outcome.csv": result.transcript.summary_csv_row()})
     if args.expect_accept and not result.outcome.accepted:
         return EXIT_REJECTED
     return EXIT_OK

@@ -414,9 +414,8 @@ class ProtocolSession:
         # Built on first use: most sessions never sample.
         self._rng_shots: np.random.Generator | None = None
         self._key_bits: str | None = None
-        self._lambdas: tuple[float, ...] | None = None
-        # Built at setup for cnot and qotp, at angle registration for cu,
-        # together with its signing and recovery circuits.
+        # Built at angle registration, together with its signing and
+        # recovery circuits.
         self._ctx: EncryptionContext | None = None
         self._circuits: tuple[tuple[qstate.Op, ...], ...] = ((), ())
         self._verifier_key: str | None = None
@@ -433,27 +432,14 @@ class ProtocolSession:
         if bits is None:
             bits = keys.random_bits(n, self._rng_keys)
         self._record_delivery(SIGNER, "identity-key", bits)
-        ctx = None
         if cfg.scheme is Scheme.QOTP:
-            pad = keys.random_bits(2 * n, self._rng_keys)
-            self._record_delivery(SIGNER, "pad-key", pad)
-            ctx = EncryptionContext(scheme=cfg.scheme, n=n, qotp_key=pad)
-        elif cfg.scheme is Scheme.CHAINED_CNOT:
-            ctx = EncryptionContext(
-                scheme=cfg.scheme, n=n, perm=keys.derive_permutation(bits)
-            )
+            self._record_delivery(SIGNER, "pad-key",
+                                  keys.random_bits(2 * n, self._rng_keys))
         verifier_key = keys.random_bits(n, self._rng_keys)
         self._record_delivery(VERIFIER, "blind-key", verifier_key)
         # Only keys the ledger holds reach the parties: a setup the ledger
         # refuses leaves the session as it was.
         self._key_bits, self._verifier_key = bits, verifier_key
-        if ctx is not None:
-            self._accept_context(ctx)
-
-    def _accept_context(self, ctx: EncryptionContext) -> None:
-        """Hold ``ctx`` and build its signing and recovery circuits, once."""
-        signing = tuple(cipher.signature_ops(ctx))
-        self._ctx, self._circuits = ctx, (signing, tuple(cipher.inverse_ops(signing)))
 
     def _record_delivery(self, to: str, purpose: str, bits: str) -> None:
         self.ledger.distribute(to, purpose, bits)
@@ -472,7 +458,6 @@ class ProtocolSession:
         lams = cfg.inject_lambdas
         if lams is None:
             lams = keys.sample_lambda(n, self._rng_lambda)
-        self._lambdas = lams
         payload: dict[str, Any] = {"lambdas": list(lams), "count": n}
         thetas = phis = None
         if cfg.euler_mode is EulerMode.GENERAL:
@@ -480,11 +465,15 @@ class ProtocolSession:
             phis = tuple(float(x) for x in self._rng_lambda.uniform(0, 2 * math.pi, n))
             payload["thetas"] = list(thetas)
             payload["phis"] = list(phis)
-        if cfg.scheme is Scheme.CHAINED_CU:
-            self._accept_context(EncryptionContext(
-                scheme=cfg.scheme, n=n, perm=keys.derive_permutation(self._key_bits),
-                lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
-            ))
+        qotp = cfg.scheme is Scheme.QOTP
+        ctx = EncryptionContext(
+            scheme=cfg.scheme, n=n,
+            perm=None if qotp else keys.derive_permutation(self._key_bits),
+            qotp_key=self.ledger.lookup(SIGNER, "pad-key") if qotp else None,
+            lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
+        )
+        signing = tuple(cipher.signature_ops(ctx))
+        self._ctx, self._circuits = ctx, (signing, tuple(cipher.inverse_ops(signing)))
         # The angle transfer rides the authenticated channel, so the arbiter
         # reads the signer's angles from the same record.
         self.transcript.append("lambda-registration", SIGNER, KGC, payload)
@@ -504,12 +493,18 @@ class ProtocolSession:
     def sign(self, message: StateVector) -> SignaturePackage:
         ctx = self.context_for()
         signature = self._run_phase(SIGNER, message, ctx, self._circuits[0])
-        tag = keys.tag_of_bits(self._key_bits)
-        pkg = SignaturePackage(message=message, signature=signature, tag=tag)
+        return self._send("package", SIGNER, VERIFIER, SignaturePackage(
+            message=message, signature=signature, tag=keys.tag_of_bits(self._key_bits)))
+
+    def _send(self, kind: str, frm: str, to: str,
+              pkg: SignaturePackage) -> SignaturePackage:
+        """Log ``pkg`` leaving ``frm`` for ``to`` and hand it on."""
+        message = pkg.message
         self.transcript.append(
-            "package", SIGNER, VERIFIER,
-            {"tag": tag, "message_fp": _fingerprint(message),
-             "signature_fp": _fingerprint(signature)},
+            kind, frm, to,
+            {"tag": pkg.tag,
+             "message_fp": None if message is None else _fingerprint(message),
+             "signature_fp": _fingerprint(pkg.signature)},
         )
         return pkg
 
@@ -562,13 +557,8 @@ class ProtocolSession:
             )
         blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, self._verifier_key))
         message = pkg.message if self.config.wiring is Wiring.RELAY else None
-        self.transcript.append(
-            "forward", VERIFIER, KGC,
-            {"tag": blinded,
-             "message_fp": None if message is None else _fingerprint(message),
-             "signature_fp": _fingerprint(pkg.signature)},
-        )
-        return SignaturePackage(signature=pkg.signature, tag=blinded, message=message)
+        return self._send("forward", VERIFIER, KGC, SignaturePackage(
+            signature=pkg.signature, tag=blinded, message=message))
 
     # -- phase 4b: arbiter verification
 
@@ -581,22 +571,17 @@ class ProtocolSession:
             outcome = VerificationOutcome(accepted=False, stage="hash-check")
             self._finish(outcome)
             return outcome
-        message = fwd.message
-        if message is None:
-            message = self._direct_message
-        if message is None:
-            raise AqsError(
-                "no message register available: relay wiring forwards none and "
-                "the signer sent nothing directly"
-            )
-        if message.n != fwd.signature.n:
-            raise ConfigError(
-                f"message has {message.n} qubits, signature {fwd.signature.n}"
-            )
+        if fwd.message is None:
+            if self._direct_message is None:
+                raise AqsError(
+                    "no message register available: relay wiring forwards none "
+                    "and the signer sent nothing directly"
+                )
+            fwd = dataclasses.replace(fwd, message=self._direct_message)
         ctx = self.context_for()
         recovered = self._run_phase(KGC, fwd.signature, ctx, self._circuits[1])
         self._last_recovered = recovered
-        ov = qstate.overlap_sq(recovered, message)
+        ov = qstate.overlap_sq(recovered, fwd.message)
         pass_probability = qstate.swap_test_pass_probability(ov)
         if cfg.verify_mode is VerifyMode.SAMPLED:
             accepted, ones = qstate.swap_test_sampled(
@@ -609,8 +594,7 @@ class ProtocolSession:
             pass_probability=pass_probability, swap_ones=ones,
         )
         if outcome.accepted:
-            proof = SignatureProof(signer=SIGNER, lambdas=self._lambdas or (),
-                                   tag=fwd.tag)
+            proof = SignatureProof(signer=SIGNER, lambdas=ctx.lambdas, tag=fwd.tag)
             self._proof = proof
             self.transcript.append(
                 "proof-stored", KGC, KGC,
@@ -652,7 +636,6 @@ class ProtocolResult:
     """One run's artifacts: transcript plus the states and samples around it."""
 
     config: RunConfig
-    session: ProtocolSession
     transcript: Transcript
     outcome: VerificationOutcome
     message_state: StateVector
@@ -670,10 +653,16 @@ def registered_session(config: RunConfig) -> ProtocolSession:
     return session
 
 
-def _tamper(package: SignaturePackage, spec: TamperSpec) -> SignaturePackage:
-    """The package as it arrives after ``spec`` modified it in transit."""
+def _intercept(session: ProtocolSession, package: SignaturePackage, channel: str,
+               to: str) -> SignaturePackage:
+    """The package as it reaches ``to`` over ``channel``. When the run's
+    tamper spec names that channel, the change is logged and applied."""
     from .attacks import apply_pauli_string  # call-time import avoids a cycle
 
+    spec = session.config.tamper
+    if spec is None or spec.channel != channel:
+        return package
+    session.transcript.append("tamper-injection", "adversary", to, spec.to_payload())
     changes: dict[str, Any] = {}
     if spec.message_pauli is not None:
         if package.message is None:
@@ -704,25 +693,10 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     )
     session.log_initialize()
 
-    pkg = session.sign(message)
-
-    tamper = config.tamper
-    if tamper is not None and tamper.channel == "signer-verifier":
-        session.transcript.append(
-            "tamper-injection", "adversary", VERIFIER, tamper.to_payload()
-        )
-        pkg = _tamper(pkg, tamper)
-
+    pkg = _intercept(session, session.sign(message), "signer-verifier", VERIFIER)
     if config.wiring is Wiring.DIRECT:
         session.send_message_direct(pkg.message)
-
-    fwd = session.verifier_forward(pkg)
-    if tamper is not None and tamper.channel == "verifier-kgc":
-        session.transcript.append(
-            "tamper-injection", "adversary", KGC, tamper.to_payload()
-        )
-        fwd = _tamper(fwd, tamper)
-
+    fwd = _intercept(session, session.verifier_forward(pkg), "verifier-kgc", KGC)
     outcome = session.kgc_verify(fwd)
 
     recovered = None
@@ -742,7 +716,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         proof = session.arbitrate_dispute()
 
     return ProtocolResult(
-        config=config, session=session, transcript=session.transcript,
+        config=config, transcript=session.transcript,
         outcome=outcome, message_state=message, recovered_state=recovered,
         histogram=histogram, proof=proof, ops=session.transcript.gate_events(),
     )
@@ -750,8 +724,8 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
 
 def honest_gate_events(config: RunConfig) -> OpList:
     """The gate events :func:`run_protocol` logs for an honest run of ``config``
-    (no tamper), read from the circuits that setup and angle registration
-    build: no state is prepared."""
+    (no tamper), read from the circuits that angle registration builds: no
+    state is prepared."""
     signing, recovery = registered_session(config)._circuits
     return (_pseudo_gates("initialize", config.n)
             + [(name, qubits) for name, qubits, _ in signing + recovery]

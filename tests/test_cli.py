@@ -105,6 +105,34 @@ class TestDemo:
         assert "1.0471975511965976" in full
 
 
+def _refuse_sampling(*args, **kwargs):
+    raise AssertionError("a shot histogram was sampled")
+
+
+# Each command with its flags that ask for an accepting run.
+SAMPLING_COMMANDS = [("demo",), ("run", "--message", "0110")]
+
+
+class TestHistogramOnlyUnderOut:
+    """``demo`` and ``run`` sample a shot histogram only to write it."""
+
+    @pytest.mark.parametrize("command", SAMPLING_COMMANDS)
+    def test_sampling_only_with_out(self, command, monkeypatch, tmp_path, capsys):
+        with monkeypatch.context() as patch:
+            patch.setattr(qstate, "sample", _refuse_sampling)
+            assert run_cli(*command) == 0
+        assert "accepted=true" in capsys.readouterr().out
+        assert run_cli(*command, "--out", str(tmp_path / "o")) == 0
+        assert (tmp_path / "o" / "histogram.csv").exists()
+
+    def test_compare_needs_no_sampling(self, monkeypatch, tmp_path, capsys):
+        csv = tmp_path / "h.csv"
+        csv.write_text("basis_label,count\n0110,1\n")
+        monkeypatch.setattr(qstate, "sample", _refuse_sampling)
+        assert run_cli("demo", "--compare", str(csv)) == 0
+        assert "tv_distance=" in capsys.readouterr().out
+
+
 class TestRun:
     def test_classical_message_accepts(self, capsys):
         assert run_cli("run", "--message", "0110", "--expect-accept") == 0

@@ -213,12 +213,12 @@ class TestSetup:
 
     def test_unknown_signer(self):
         session = registered_session(plain_config())
-        lambdas = session._lambdas
+        lambdas = session._ctx.lambdas
         events = len(session.transcript.events)
         for index in (0, 2, 7):
             with pytest.raises(AqsError, match=rf"no signer {index} in this session"):
                 session.register_lambda(index)
-        assert session._lambdas == lambdas
+        assert session._ctx.lambdas == lambdas
         assert len(session.transcript.events) == events
 
     @pytest.mark.parametrize("scheme", list(Scheme))
@@ -270,7 +270,7 @@ class TestLambdaRegistration:
         first = session.register_lambda(1)
         second = session.register_lambda(1)
         assert first != second
-        assert session._lambdas == second
+        assert session._ctx.lambdas == second
         events = [e for e in session.transcript.events
                   if e["type"] == "lambda-registration"]
         assert len(events) == 2
@@ -284,11 +284,24 @@ class TestLambdaRegistration:
         assert all(0.0 <= t <= math.pi for t in ctx.thetas)
         assert all(0.0 <= p <= 2 * math.pi for p in ctx.phis)
 
-    def test_missing_lambda_blocks_signing(self):
-        session = ProtocolSession(plain_config())
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_missing_lambda_blocks_signing(self, scheme):
+        cfg = plain_config(scheme=scheme)
+        session = ProtocolSession(cfg)
         session.setup()
+        events = len(session.transcript.events)
         with pytest.raises(AqsError, match=r"the signer has not registered signing angles"):
-            session.sign(plain_config().message.prepare())
+            session.sign(cfg.message.prepare())
+        assert len(session.transcript.events) == events
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_proof_holds_registered_angles(self, scheme):
+        result = run_protocol(plain_config(scheme=scheme))
+        assert result.outcome.accepted
+        registered, = [e["payload"]["lambdas"] for e in result.transcript.events
+                       if e["type"] == "lambda-registration"]
+        assert len(registered) == 4
+        assert result.proof.lambdas == tuple(registered)
 
 
 class TestSigning:
@@ -419,7 +432,7 @@ class TestForwardAndVerify:
         session.kgc_verify(session.verifier_forward(pkg))
         proof = session.arbitrate_dispute()
         assert proof.signer == SIGNER == "signer_1"
-        assert proof.lambdas == session._lambdas
+        assert proof.lambdas == session._ctx.lambdas
 
 
 def phase_events(session: ProtocolSession, run_phase):

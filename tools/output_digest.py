@@ -121,8 +121,7 @@ def protocol_outputs(fold_zero_signs: bool = False):
             yield b"-" if result.histogram is None else result.histogram.to_csv().encode()
             proof = result.proof
             yield b"-" if proof is None else json.dumps(
-                [getattr(proof.signer, "label", proof.signer), list(proof.lambdas),
-                 proof.tag]).encode()
+                [proof.signer, list(proof.lambdas), proof.tag]).encode()
 
 
 # (n, euler mode, wiring, verify mode, X tamper on qubit 0) of the bench-sized runs.
