@@ -3,15 +3,17 @@
 Every experiment is deterministic per seed: trial t of sweep row r and sigma
 class c draws from ``default_rng([seed, r, c, t])``. Impersonation draws its
 session from ``default_rng([seed, 0])``. At the ``none`` level every key guess
-comes, in trial order, from the one stream ``default_rng([seed, 1])``, n bits
-a guess, and a guess t that passes the hash gate draws its message and
-signature from ``[seed, 2, t]``. At the other levels trial t draws from
-``[seed, 1, t]``.
+comes, in trial order, from the one stream ``default_rng([seed, 1])``: guess t
+is an n-bit int, read MSB first from bits [t*n, (t+1)*n) of the draws
+``keys.random_bits`` makes. A guess t that passes the hash gate draws its
+message and signature from ``[seed, 2, t]``. At the other levels trial t draws
+from ``[seed, 1, t]``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace as dc_replace
 from typing import Any
 
@@ -260,9 +262,19 @@ def forgery_row(n: int, trials: int, seed: int, row: int, cls_index: int,
 
 KNOWLEDGE_LEVELS = ("none", "key", "key-and-lambda")
 
-# Guesses drawn per ``random_bits`` call at the ``none`` level. Draws are
-# chunk-invariant, so this bounds memory and leaves the stream as it is.
+# Key guesses drawn at once at the ``none`` level. Draws are chunk-invariant,
+# so this bounds memory and leaves the stream as it is.
 _GUESS_CHUNK = 512
+
+
+def _key_guesses(n: int, trials: int, rng: np.random.Generator) -> Iterator[int]:
+    """The ``none`` level's key guesses as n-bit ints: guess t is bits
+    [t*n, (t+1)*n) of ``keys.random_bits(trials * n, rng)``, read MSB first."""
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    for start in range(0, trials, _GUESS_CHUNK):
+        count = min(_GUESS_CHUNK, trials - start)
+        # The draws random_bits makes; the chunk's list is gone before the next draw.
+        yield from (rng.integers(0, 2, size=count * n).reshape(count, n) @ weights).tolist()
 
 
 def impersonation_attempt(n: int, trials: int, seed: int,
@@ -307,22 +319,20 @@ def impersonation_attempt(n: int, trials: int, seed: int,
         # The gate on ints: H(H(g) xor blind) against H(H(K) xor blind).
         blind = int(blind_key, 2)
         target = int(keys.chained_tag(true_key, blind_key), 2)
-        guess_rng = np.random.default_rng([seed, 1])
-        for start in range(0, trials, _GUESS_CHUNK):
-            count = min(_GUESS_CHUNK, trials - start)
-            bits = keys.random_bits(count * n, guess_rng)
-            for t, at in zip(range(start, start + count), range(0, count * n, n)):
-                inner = keys._tag_of_int(int(bits[at:at + n], 2), n, n)
-                if keys._tag_of_int(inner ^ blind, n, n) != target:
-                    if collect_details:
-                        details.append({"trial": t, "hash_pass": False, "accepted": False})
-                    continue
-                pass_rng = np.random.default_rng([seed, 2, t])
-                verify(t, SignaturePackage(
-                    message=MessageSpec.random_product(n, pass_rng).prepare(),
-                    signature=MessageSpec.random_product(n, pass_rng).prepare(),
-                    tag=format(inner, f"0{n}b"),
-                ))
+        tag = keys._tagger(n, n)
+        guesses = _key_guesses(n, trials, np.random.default_rng([seed, 1]))
+        for t, guess in enumerate(guesses):
+            inner = tag(guess)
+            if tag(inner ^ blind) != target:
+                if collect_details:
+                    details.append({"trial": t, "hash_pass": False, "accepted": False})
+                continue
+            pass_rng = np.random.default_rng([seed, 2, t])
+            verify(t, SignaturePackage(
+                message=MessageSpec.random_product(n, pass_rng).prepare(),
+                signature=MessageSpec.random_product(n, pass_rng).prepare(),
+                tag=format(inner, f"0{n}b"),
+            ))
     else:
         for t in range(trials):
             # Knowledge of the key (and possibly the angles): a real signature.

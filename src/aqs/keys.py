@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -59,23 +60,33 @@ def derive_permutation(bits: str) -> tuple[int, ...]:
     return tuple(zeros + ones)
 
 
-def _pack_int(value: int, length: int) -> bytes:
-    # The packing of ``value`` read as a ``length``-bit string.
-    body = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
-    return length.to_bytes(8, "big") + body
+def _packer(length: int) -> Callable[[int], bytes]:
+    # The packing of an int read as a ``length``-bit string; the prefix is built once.
+    prefix, shift, size = length.to_bytes(8, "big"), -length % 8, (length + 7) // 8
+
+    def pack(value: int) -> bytes:
+        return prefix + (value << shift).to_bytes(size, "big")
+
+    return pack
 
 
 def pack_bits(bits: str) -> bytes:
     """Canonical byte packing: 8-byte big-endian bit count, then MSB-first bits."""
     _check_bits(bits)
-    return _pack_int(int(bits, 2), len(bits))
+    return _packer(len(bits))(int(bits, 2))
 
 
-def _tag_of_int(value: int, length: int, out_bits: int) -> int:
-    """:func:`tag_of_bits` on ints: the tag of ``value`` read as a ``length``-bit
-    string, as an ``out_bits``-bit int. Callers check the arguments."""
-    digest = hashlib.shake_256(_pack_int(value, length)).digest((out_bits + 7) // 8)
-    return int.from_bytes(digest, "big") >> (-out_bits % 8)
+def _tagger(length: int, out_bits: int) -> Callable[[int], int]:
+    """:func:`tag_of_bits` on ints: maps ``value``, read as a ``length``-bit
+    string, to its ``out_bits``-bit tag as an int. Build it once and call it per
+    value; callers check the arguments."""
+    pack, shake = _packer(length), hashlib.shake_256
+    size, drop = (out_bits + 7) // 8, -out_bits % 8
+
+    def tag(value: int) -> int:
+        return int.from_bytes(shake(pack(value)).digest(size), "big") >> drop
+
+    return tag
 
 
 def tag_of_bits(bits: str, out_bits: int | None = None) -> str:
@@ -84,7 +95,7 @@ def tag_of_bits(bits: str, out_bits: int | None = None) -> str:
     n = len(bits) if out_bits is None else int(out_bits)
     if n < 1:
         raise ConfigError(f"tag length must be positive, got {n}")
-    return format(_tag_of_int(int(bits, 2), len(bits), n), f"0{n}b")
+    return format(_tagger(len(bits), n)(int(bits, 2)), f"0{n}b")
 
 
 def chained_tag(key_bits: str, blind_bits: str) -> str:

@@ -47,6 +47,10 @@ BLOCK_QUBITS = 4
 _IDENTITY = np.eye(2, dtype=np.complex128)
 _IDENTITY.setflags(write=False)
 
+# Amplitudes per partial sum of :func:`inner_product`: a power of two, so the
+# partial sums meet numpy's pairwise tree at its nodes.
+_DOT_CHUNK = 4096
+
 # Swap-test defaults: accept only if no shot lands on ancilla=1.
 SWAP_TEST_SHOTS = 64
 
@@ -251,7 +255,14 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
         )
     # numpy's own pairwise sum: np.vdot hands the sum to BLAS, which splits it
     # by thread count, so its last bits depend on how many threads BLAS has.
-    return complex((a.amps.conj() * b.amps).sum())
+    # Chunk sums joined as a balanced tree of neighbours are numpy's own tree
+    # for 2**n amplitudes, byte for byte, without a 2**n-amplitude temporary.
+    x, y = a.amps, b.amps
+    sums = [(x[i:i + _DOT_CHUNK].conj() * y[i:i + _DOT_CHUNK]).sum()
+            for i in range(0, x.size, _DOT_CHUNK)]
+    while len(sums) > 1:
+        sums = [sums[i] + sums[i + 1] for i in range(0, len(sums), 2)]
+    return complex(sums[0])
 
 
 def overlap_sq(a: StateVector, b: StateVector) -> float:

@@ -13,7 +13,9 @@ from aqs.attacks import (
     AttackReport,
     KNOWLEDGE_LEVELS,
     SIGMA_CLASSES,
+    _GUESS_CHUNK,
     _fresh_session,
+    _key_guesses,
     apply_pauli_string,
     forgery_sweep,
     honest_package,
@@ -254,6 +256,13 @@ class TestImpersonation:
 class TestImpersonationGuessStream:
     """At the ``none`` level guess t is bits [t*n, (t+1)*n) of one stream,
     ``random_bits(trials * n, default_rng([seed, 1]))``, whatever the chunking."""
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 25])
+    def test_guesses_are_the_bit_stream_read_n_bits_at_a_time(self, n):
+        trials, seed = 2 * _GUESS_CHUNK + 37, 9
+        guesses = list(_key_guesses(n, trials, np.random.default_rng([seed, 1])))
+        stream = random_bits(trials * n, np.random.default_rng([seed, 1]))
+        assert guesses == [int(stream[t * n:(t + 1) * n], 2) for t in range(trials)]
 
     def test_shorter_run_is_a_prefix_across_chunk_boundaries(self):
         short = impersonation_attempt(6, 700, 8, collect_details=True)

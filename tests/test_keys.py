@@ -212,6 +212,19 @@ class TestHashTags:
         with pytest.raises(ConfigError, match=r"tag length must be positive, got 0"):
             tag_of_bits("011", 0)
 
+    def test_tagger_matches_tag_of_bits_and_reference(self):
+        rng = np.random.default_rng(23)
+        for length in range(1, 71):
+            values = {0, 1, 2 ** length - 1, int(random_bits(length, rng), 2),
+                      int(random_bits(length, rng), 2)}
+            for out_bits in (1, 7, 8, 9, 16, 64, 70):
+                tag = keys._tagger(length, out_bits)
+                for value in sorted(values):
+                    bits = format(value, f"0{length}b")
+                    want = tag_of_bits(bits, out_bits)
+                    assert want == reference_tag(bits, out_bits)
+                    assert format(tag(value), f"0{out_bits}b") == want
+
     def test_chained_tag_recomputation(self):
         key, blind = "11010010", "01100101"
         inner = reference_tag(key, 8)

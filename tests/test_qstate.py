@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,27 @@ class TestOverlap:
     def test_size_mismatch(self):
         with pytest.raises(ConfigError, match=r"inner product needs equal sizes"):
             inner_product(basis_state(1, 0), basis_state(2, 0))
+
+    @pytest.mark.parametrize("n", range(12, 19))
+    def test_chunked_sum_is_numpy_sum_byte_for_byte(self, n):
+        # n >= 13 splits the sum into chunks; the bytes must be those of numpy's
+        # one-array pairwise sum, which the transcripts were recorded with.
+        for seed in range(0, 6, 2):
+            a, b = make_state(n, seed), make_state(n, seed + 1)
+            want = np.complex128((a.amps.conj() * b.amps).sum())
+            assert np.complex128(inner_product(a, b)).tobytes() == want.tobytes()
+
+    def test_overlap_builds_no_state_sized_temporary(self):
+        # The amplitudes take 1 MiB at n = 16; one product of them would too.
+        a, b = make_state(16, 1), make_state(16, 2)
+        overlap_sq(a, b)
+        tracemalloc.start()
+        try:
+            overlap_sq(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestSampling:

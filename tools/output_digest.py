@@ -43,7 +43,10 @@ on qubit 0 of the message in transit), where the local layer fills four
 4-qubit blocks, and the ``sampled-verify`` configuration at n = 10 (general,
 relay, sampled swap test), honest and tampered, each on three seeds with
 1,024-shot histograms. It hashes the transcript JSON, the recovered amplitude
-bytes and the histogram CSV of each run.
+bytes and the histogram CSV of each run. It also covers the ``impersonation``
+workload's size: ``impersonation_attempt(16, 10**4, seed, collect_details=True)``
+for each seed in :data:`IMPERSONATION_SEEDS`, as verbose report JSON. Seed 0's
+guesses all fail the hash gate; one of seed 7's passes it.
 """
 
 from __future__ import annotations
@@ -134,6 +137,9 @@ BENCH_CASES = (
 )
 
 
+IMPERSONATION_SEEDS = (0, 7)
+
+
 def bench_size_outputs():
     for i, (n, mode, wiring, verify, x_tamper) in enumerate(BENCH_CASES):
         for seed in range(3):
@@ -150,6 +156,9 @@ def bench_size_outputs():
             yield result.transcript.to_json().encode()
             yield result.recovered_state.amps.tobytes()
             yield result.histogram.to_csv().encode()
+    for seed in IMPERSONATION_SEEDS:
+        report = attacks.impersonation_attempt(16, 10**4, seed, collect_details=True)
+        yield attacks.reports_to_json([report], verbose=True).encode()
 
 
 def attack_outputs():
