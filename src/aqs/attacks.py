@@ -131,10 +131,11 @@ class AttackReport:
             ]
         )
 
-    def to_json_dict(self, verbose: bool = False) -> dict[str, Any]:
+    def to_json_dict(self) -> dict[str, Any]:
+        """The report's fields and accept rate; ``details`` only when collected."""
         out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "details"}
         out["accept_rate"] = self.accept_rate
-        if verbose and self.details is not None:
+        if self.details is not None:
             out["details"] = list(self.details)
         return out
 
@@ -145,9 +146,9 @@ def reports_to_csv(reports: list[AttackReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def reports_to_json(reports: list[AttackReport], verbose: bool = False) -> str:
+def reports_to_json(reports: list[AttackReport]) -> str:
     return json.dumps(
-        [r.to_json_dict(verbose) for r in reports],
+        [r.to_json_dict() for r in reports],
         sort_keys=True, separators=(",", ":"),
     )
 

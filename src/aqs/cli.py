@@ -280,7 +280,7 @@ def _emit_attack_reports(reports: list[attacks.AttackReport],
     if args.out is not None:
         _write(args.out, "attack_report.csv", csv_text)
         _write(args.out, "attack_report.json",
-               attacks.reports_to_json(reports, verbose=args.verbose) + "\n")
+               attacks.reports_to_json(reports) + "\n")
 
 
 def cmd_attack(args: argparse.Namespace) -> int:

@@ -264,6 +264,11 @@ class RunConfig:
             raise ConfigError(
                 f"message spec covers {self.message.n} qubits, config says {self.n}"
             )
+        if self.euler_mode is EulerMode.GENERAL and self.scheme is not Scheme.CHAINED_CU:
+            raise ConfigError(
+                f"euler_mode 'general' sets cu rotations; scheme "
+                f"{self.scheme.value!r} takes 'diagonal'"
+            )
         if self.inject_key_bits is not None and len(self.inject_key_bits) != self.n:
             raise ConfigError("injected key must have one bit per qubit")
         if self.inject_lambdas is not None:
@@ -397,12 +402,14 @@ class Transcript:
 # -- the session ------------------------------------------------------------------------
 
 class ProtocolSession:
-    """Holds the party secret stores and drives the four phases for one run.
+    """Drives the four phases of one run; its ledger is the one key store.
 
     The session plays all three parties: the KGC, which is also the arbiter,
-    one signer and one verifier. Only angle registration takes the signer's
-    index, which must be 1, the index in the ``SIGNER`` label; any other
-    raises :class:`AqsError`, as does a phase run before the one it needs.
+    one signer and one verifier. Each phase reads the keys it uses from
+    ``ledger``, so a phase run before setup raises the ledger's
+    :class:`AqsError`. Only angle registration takes the signer's index,
+    which must be 1, the index in the ``SIGNER`` label; any other raises
+    :class:`AqsError`, as does signing or recovery before registration.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -413,12 +420,10 @@ class ProtocolSession:
         self._rng_lambda = np.random.default_rng(config.seed_lambda)
         # Built on first use: most sessions never sample.
         self._rng_shots: np.random.Generator | None = None
-        self._key_bits: str | None = None
         # Built at angle registration, together with its signing and
         # recovery circuits.
         self._ctx: EncryptionContext | None = None
         self._circuits: tuple[tuple[qstate.Op, ...], ...] = ((), ())
-        self._verifier_key: str | None = None
         self._proof: SignatureProof | None = None
         self._direct_message: StateVector | None = None
         self._last_recovered: StateVector | None = None
@@ -435,11 +440,7 @@ class ProtocolSession:
         if cfg.scheme is Scheme.QOTP:
             self._record_delivery(SIGNER, "pad-key",
                                   keys.random_bits(2 * n, self._rng_keys))
-        verifier_key = keys.random_bits(n, self._rng_keys)
-        self._record_delivery(VERIFIER, "blind-key", verifier_key)
-        # Only keys the ledger holds reach the parties: a setup the ledger
-        # refuses leaves the session as it was.
-        self._key_bits, self._verifier_key = bits, verifier_key
+        self._record_delivery(VERIFIER, "blind-key", keys.random_bits(n, self._rng_keys))
 
     def _record_delivery(self, to: str, purpose: str, bits: str) -> None:
         self.ledger.distribute(to, purpose, bits)
@@ -451,9 +452,11 @@ class ProtocolSession:
     # -- phase 2: signing-angle registration
 
     def register_lambda(self, index: int) -> tuple[float, ...]:
-        if f"signer_{index}" != SIGNER or self._key_bits is None:
+        if f"signer_{index}" != SIGNER:
             raise AqsError(f"no signer {index} in this session")
         cfg = self.config
+        qotp = cfg.scheme is Scheme.QOTP
+        key = self.ledger.lookup(SIGNER, "pad-key" if qotp else "identity-key")
         n = cfg.n
         lams = cfg.inject_lambdas
         if lams is None:
@@ -465,11 +468,10 @@ class ProtocolSession:
             phis = tuple(float(x) for x in self._rng_lambda.uniform(0, 2 * math.pi, n))
             payload["thetas"] = list(thetas)
             payload["phis"] = list(phis)
-        qotp = cfg.scheme is Scheme.QOTP
         ctx = EncryptionContext(
             scheme=cfg.scheme, n=n,
-            perm=None if qotp else keys.derive_permutation(self._key_bits),
-            qotp_key=self.ledger.lookup(SIGNER, "pad-key") if qotp else None,
+            perm=None if qotp else keys.derive_permutation(key),
+            qotp_key=key if qotp else None,
             lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
         )
         signing = tuple(cipher.signature_ops(ctx))
@@ -482,8 +484,6 @@ class ProtocolSession:
     # -- shared context construction
 
     def context_for(self) -> EncryptionContext:
-        if self._key_bits is None:
-            raise AqsError("session not set up; the signer holds no key")
         if self._ctx is None:
             raise AqsError("the signer has not registered signing angles")
         return self._ctx
@@ -491,10 +491,11 @@ class ProtocolSession:
     # -- phase 3: signing
 
     def sign(self, message: StateVector) -> SignaturePackage:
+        tag = keys.tag_of_bits(self.ledger.lookup(SIGNER, "identity-key"))
         ctx = self.context_for()
         signature = self._run_phase(SIGNER, message, ctx, self._circuits[0])
         return self._send("package", SIGNER, VERIFIER, SignaturePackage(
-            message=message, signature=signature, tag=keys.tag_of_bits(self._key_bits)))
+            message=message, signature=signature, tag=tag))
 
     def _send(self, kind: str, frm: str, to: str,
               pkg: SignaturePackage) -> SignaturePackage:
@@ -548,14 +549,8 @@ class ProtocolSession:
     # -- phase 4a: verifier blinds and forwards
 
     def verifier_forward(self, pkg: SignaturePackage) -> SignaturePackage:
-        if self._verifier_key is None:
-            raise AqsError("session not set up; verifier holds no key")
-        if len(pkg.tag) != len(self._verifier_key):
-            raise ConfigError(
-                f"tag length {len(pkg.tag)} != verifier key length "
-                f"{len(self._verifier_key)}"
-            )
-        blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, self._verifier_key))
+        blind = self.ledger.lookup(VERIFIER, "blind-key")
+        blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, blind))
         message = pkg.message if self.config.wiring is Wiring.RELAY else None
         return self._send("forward", VERIFIER, KGC, SignaturePackage(
             signature=pkg.signature, tag=blinded, message=message))
@@ -564,9 +559,8 @@ class ProtocolSession:
 
     def kgc_verify(self, fwd: SignaturePackage) -> VerificationOutcome:
         cfg = self.config
-        if self._key_bits is None:
-            raise AqsError("session not set up; the arbiter holds no key")
-        expected = keys.chained_tag(self._key_bits, self._verifier_key)
+        expected = keys.chained_tag(self.ledger.lookup(SIGNER, "identity-key"),
+                                    self.ledger.lookup(VERIFIER, "blind-key"))
         if fwd.tag != expected:
             outcome = VerificationOutcome(accepted=False, stage="hash-check")
             self._finish(outcome)

@@ -300,11 +300,11 @@ class TestImpersonationGuessStream:
          "d3d0e40351186c8626eb38dc604a9bb0e0476283732a924e5d46c3e9845587bf"),
     ])
     def test_key_levels_keep_their_bytes(self, knowledge, digest):
-        # SHA-256 of the verbose report JSON, as the per-trial [seed, 1, t]
+        # SHA-256 of the report JSON with details, as the per-trial [seed, 1, t]
         # stream gave it before the none level moved to one stream.
         report = impersonation_attempt(4, 20, 5, knowledge=knowledge,
                                        collect_details=True)
-        text = reports_to_json([report], verbose=True)
+        text = reports_to_json([report])
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_memory_does_not_grow_with_rejections(self):
@@ -374,9 +374,9 @@ class TestReportFormats:
 
     def test_json_verbose_carries_details(self):
         reports = forgery_sweep(n=2, trials=1, seed=6, collect_details=True)
-        data = json.loads(reports_to_json(reports, verbose=True))
+        data = json.loads(reports_to_json(reports))
         assert all("details" in entry for entry in data)
-        plain = json.loads(reports_to_json(reports))
+        plain = json.loads(reports_to_json(forgery_sweep(n=2, trials=1, seed=6)))
         assert all("details" not in entry for entry in plain)
 
     def test_knowledge_levels_exported(self):

@@ -178,6 +178,18 @@ class TestRun:
         assert err.startswith("config error:")
         assert f"{MAX_QUBITS}-qubit ceiling" in err
 
+    @pytest.mark.parametrize("command", [
+        ("run",), ("report",), ("attack", "--tamper", "tag-flip"),
+    ], ids=lambda command: command[-1])
+    @pytest.mark.parametrize("scheme", ["cnot", "qotp"])
+    def test_general_euler_mode_off_cu_exits_2(self, capsys, command, scheme):
+        assert run_cli(*command, "--scheme", scheme, "--euler-mode", "general",
+                       "--message", "0110") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: euler_mode 'general' sets cu "
+                                f"rotations; scheme '{scheme}' takes 'diagonal'\n")
+
     @pytest.mark.parametrize("argv", [
         ("run", "--seed-keys", "-1"),
         ("run", "--seed-lambda", "-1"),
@@ -309,7 +321,7 @@ class TestAttack:
         kept = [sweep[i] for i in rows]
         assert capsys.readouterr().out == attacks.reports_to_csv(kept)
         assert ((tmp_path / "s" / "attack_report.json").read_text()
-                == attacks.reports_to_json(kept, verbose=True) + "\n")
+                == attacks.reports_to_json(kept) + "\n")
 
     def test_impersonation_output(self, capsys, tmp_path):
         assert run_cli("attack", "--impersonate", "none", "--qubits", "6",

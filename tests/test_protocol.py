@@ -65,6 +65,12 @@ def plain_config(**overrides) -> RunConfig:
     return RunConfig(**base)
 
 
+def delivered_keys(session: ProtocolSession) -> tuple[str, str]:
+    """The identity and blinding keys on the session's ledger."""
+    return (session.ledger.lookup(SIGNER, "identity-key"),
+            session.ledger.lookup(VERIFIER, "blind-key"))
+
+
 class TestParties:
     def test_labels(self):
         assert (KGC, SIGNER, VERIFIER) == ("kgc", "signer_1", "verifier")
@@ -147,6 +153,12 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match="ceiling"):
             MessageSpec.random_product(over, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("scheme", ["cnot", "qotp"])
+    def test_general_euler_mode_is_cu_only(self, scheme):
+        # No cnot or qotp gate reads the theta and phi that general mode draws.
+        with pytest.raises(ConfigError, match=rf"scheme '{scheme}' takes 'diagonal'"):
+            plain_config(scheme=scheme, euler_mode="general")
+
     def test_string_enums_coerced(self):
         cfg = plain_config(scheme="qotp", wiring="direct", verify_mode="sampled",
                            euler_mode="diagonal")
@@ -192,19 +204,18 @@ class TestSignaturePackage:
 class TestSetup:
     def test_injected_key_fixes_permutation(self):
         session = registered_session(demo_config())
-        assert session._key_bits == "1010"
+        assert session.ledger.lookup(SIGNER, "identity-key") == "1010"
         assert session._ctx.perm == (1, 3, 0, 2)
 
     def test_deterministic_across_sessions(self):
         a = registered_session(plain_config())
         b = registered_session(plain_config())
-        assert a._key_bits == b._key_bits
-        assert a._verifier_key == b._verifier_key
+        assert delivered_keys(a) == delivered_keys(b)
 
     def test_seed_changes_keys(self):
         a = registered_session(plain_config())
         b = registered_session(plain_config(seed_keys=99))
-        assert a._key_bits != b._key_bits or a._verifier_key != b._verifier_key
+        assert delivered_keys(a) != delivered_keys(b)
 
     def test_qotp_gets_pad_key(self):
         session = registered_session(plain_config(scheme=Scheme.QOTP))
@@ -225,29 +236,45 @@ class TestSetup:
     def test_refused_second_setup_keeps_delivered_keys(self, scheme):
         cfg = plain_config(scheme=scheme)
         session = registered_session(cfg)
-        before = (session._key_bits, session._ctx, session._verifier_key)
-        circuits = session._circuits
+        before = delivered_keys(session)
+        ctx, circuits = session._ctx, session._circuits
         events = len(session.transcript.events)
         with pytest.raises(AqsError, match=r"'identity-key' already delivered"):
             session.setup()
-        assert (session._key_bits, session._ctx, session._verifier_key) == before
-        assert session._circuits is circuits
-        assert session._key_bits == session.ledger.lookup("signer_1", "identity-key")
+        assert delivered_keys(session) == before
+        assert session._ctx is ctx and session._circuits is circuits
         assert len(session.transcript.events) == events
         pkg = session.sign(cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
 
-    def test_sign_before_setup(self):
+    @pytest.mark.parametrize("phase, missing", [
+        (lambda s, pkg: s.register_lambda(1), ("signer_1", "identity-key")),
+        (lambda s, pkg: s.sign(pkg.message), ("signer_1", "identity-key")),
+        (lambda s, pkg: s.verifier_forward(pkg), ("verifier", "blind-key")),
+        (lambda s, pkg: s.kgc_verify(pkg), ("signer_1", "identity-key")),
+    ], ids=["register_lambda", "sign", "verifier_forward", "kgc_verify"])
+    def test_sign_before_setup(self, phase, missing):
         session = ProtocolSession(plain_config())
         msg = plain_config().message.prepare()
-        with pytest.raises(AqsError, match=r"no signer 1 in this session"):
-            session.register_lambda(1)
-        with pytest.raises(AqsError, match=r"session not set up; the signer holds no key"):
-            session.sign(msg)
-        fwd = SignaturePackage(signature=msg, tag="0000", message=msg)
-        with pytest.raises(AqsError, match=r"session not set up; the arbiter holds no key"):
-            session.kgc_verify(fwd)
+        pkg = SignaturePackage(signature=msg, tag="0000", message=msg)
+        receiver, purpose = missing
+        with pytest.raises(AqsError, match=rf"no secret '{purpose}' on record "
+                                           rf"for party '{receiver}'"):
+            phase(session, pkg)
         assert session.transcript.events == []
+        assert session._ctx is None
+
+    def test_forward_refuses_short_tag(self):
+        session = registered_session(plain_config())
+        msg = plain_config().message.prepare()
+        pkg = session.sign(msg)
+        events = len(session.transcript.events)
+        # The package refuses a short tag itself; forcing one in reaches the
+        # length check the forward makes when it blinds the tag.
+        object.__setattr__(pkg, "tag", pkg.tag[:-1])
+        with pytest.raises(ConfigError, match=r"xor needs equal lengths, got 3 and 4"):
+            session.verifier_forward(pkg)
+        assert len(session.transcript.events) == events
 
 
 class TestLambdaRegistration:
@@ -345,8 +372,9 @@ class TestForwardAndVerify:
         session = registered_session(cfg)
         pkg = session.sign(cfg.message.prepare())
         fwd = session.verifier_forward(pkg)
-        assert fwd.tag == tag_of_bits(xor_bits(pkg.tag, session._verifier_key))
-        assert fwd.tag == chained_tag("1010", session._verifier_key)
+        blind = delivered_keys(session)[1]
+        assert fwd.tag == tag_of_bits(xor_bits(pkg.tag, blind))
+        assert fwd.tag == chained_tag("1010", blind)
 
     def test_honest_run_accepts_exactly(self):
         cfg = plain_config()
@@ -408,7 +436,7 @@ class TestForwardAndVerify:
         session.setup()
         msg = cfg.message.prepare()
         pkg = SignaturePackage(message=msg, signature=msg,
-                               tag=tag_of_bits(session._key_bits))
+                               tag=tag_of_bits(delivered_keys(session)[0]))
         fwd = session.verifier_forward(pkg)
         with pytest.raises(AqsError, match=r"the signer has not registered signing angles"):
             session.kgc_verify(fwd)

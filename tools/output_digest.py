@@ -17,7 +17,7 @@ covers two groups of library outputs:
 * ``forgery_sweep(n=3, trials=20, seed=11, collect_details=True)``,
   ``impersonation_attempt(4, 300, 5)`` at every knowledge level and
   ``impersonation_attempt(4, 1300, 6)`` at the ``none`` level, whose key
-  guesses span three chunks of the guess stream, as verbose report JSON.
+  guesses span three chunks of the guess stream, as report JSON with details.
 
 The second covers the command line: the exit code, the stdout and every file
 written under ``--out`` for each call in :data:`CLI_CALLS`, which span all four
@@ -45,8 +45,8 @@ relay, sampled swap test), honest and tampered, each on three seeds with
 1,024-shot histograms. It hashes the transcript JSON, the recovered amplitude
 bytes and the histogram CSV of each run. It also covers the ``impersonation``
 workload's size: ``impersonation_attempt(16, 10**4, seed, collect_details=True)``
-for each seed in :data:`IMPERSONATION_SEEDS`, as verbose report JSON. Seed 0's
-guesses all fail the hash gate; one of seed 7's passes it.
+for each seed in :data:`IMPERSONATION_SEEDS`, as report JSON with details.
+Seed 0's guesses all fail the hash gate; one of seed 7's passes it.
 """
 
 from __future__ import annotations
@@ -158,24 +158,24 @@ def bench_size_outputs():
             yield result.histogram.to_csv().encode()
     for seed in IMPERSONATION_SEEDS:
         report = attacks.impersonation_attempt(16, 10**4, seed, collect_details=True)
-        yield attacks.reports_to_json([report], verbose=True).encode()
+        yield attacks.reports_to_json([report]).encode()
 
 
 def attack_outputs():
     sweep = attacks.forgery_sweep(n=3, trials=20, seed=11, collect_details=True)
-    yield attacks.reports_to_json(sweep, verbose=True).encode()
+    yield attacks.reports_to_json(sweep).encode()
     for knowledge in attacks.KNOWLEDGE_LEVELS:
         report = attacks.impersonation_attempt(
             4, 300, 5, knowledge=knowledge, collect_details=True)
-        yield attacks.reports_to_json([report], verbose=True).encode()
+        yield attacks.reports_to_json([report]).encode()
     report = attacks.impersonation_attempt(4, 1300, 6, collect_details=True)
-    yield attacks.reports_to_json([report], verbose=True).encode()
+    yield attacks.reports_to_json([report]).encode()
 
 
 # ``{out}`` is a fresh output directory per call, ``{csv}`` holds COMPARE_CSV.
 # --compare runs only on a basis-state message, whose exact distribution and
-# the CSV's dyadic frequencies make every TV term exact: earlier versions summed
-# the terms in an order that varied between processes.
+# the CSV's dyadic frequencies make every TV term exact, so the sum does not
+# depend on the order of its terms.
 CLI_CALLS = (
     ("demo", "--out", "{out}"),
     ("demo", "--seed-shots", "3", "--shots", "512", "--reveal-secrets",
