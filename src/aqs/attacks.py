@@ -1,13 +1,14 @@
 """Executable adversary models: Pauli forgeries, impersonation, in-transit tampering.
 
-Every experiment is deterministic per seed: trial t of sweep row r and sigma
-class c draws from ``default_rng([seed, r, c, t])``. Impersonation draws its
-session from ``default_rng([seed, 0])``. At the ``none`` level every key guess
-comes, in trial order, from the one stream ``default_rng([seed, 1])``: guess t
-is an n-bit int, read MSB first from bits [t*n, (t+1)*n) of the draws
-``keys.random_bits`` makes. A guess t that passes the hash gate draws its
-message and signature from ``[seed, 2, t]``. At the other levels trial t draws
-from ``[seed, 1, t]``.
+Forgery and impersonation trials call the protocol core and build no session
+or transcript. Every experiment is deterministic per seed: trial t of sweep
+row r and sigma class c draws key, angle and shot seeds, its message and sigma
+from ``default_rng([seed, r, c, t])``. Impersonation draws its seeds from
+``default_rng([seed, 0])``. At the ``none`` level every key guess comes, in
+trial order, from the one stream ``default_rng([seed, 1])``: guess t is an
+n-bit int, read MSB first from bits [t*n, (t+1)*n) of the draws
+``keys.random_bits`` makes. A passing guess t draws its message and signature
+from ``[seed, 2, t]``. At the other levels trial t draws from ``[seed, 1, t]``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,10 @@ from typing import Any
 
 import numpy as np
 
-from . import cipher, gates, keys, qstate
-from .cipher import EulerMode, Scheme
+from . import cipher, gates, keys, protocol, qstate
+from .cipher import EncryptionContext, EulerMode, Scheme
 from .errors import ConfigError
 from .protocol import (
-    SIGNER,
-    VERIFIER,
     MessageSpec,
     ProtocolSession,
     RunConfig,
@@ -32,10 +31,9 @@ from .protocol import (
     TamperSpec,
     VerificationOutcome,
     _check_seed,
-    registered_session,
     run_protocol,
 )
-from .qstate import StateVector
+from .qstate import Circuit, StateVector
 
 PAULI_LETTERS = "IXYZ"
 
@@ -185,34 +183,43 @@ def honest_package(session: ProtocolSession) -> SignaturePackage:
     return session.sign(session.config.message.prepare())
 
 
-def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
-                  sigma: str) -> VerificationOutcome:
+def _forged(pkg: SignaturePackage, sigma: str) -> SignaturePackage:
     """Hit message and signature with the same Pauli string, reusing the tag.
 
     The identity tag binds the signer, not the message, so the forged pair
     sails through the hash gate; the state compare is the only obstacle.
     """
-    forged = SignaturePackage(
+    return SignaturePackage(
         message=apply_pauli_string(pkg.message, sigma),
         signature=apply_pauli_string(pkg.signature, sigma),
         tag=pkg.tag,
     )
-    fwd = session.verifier_forward(forged)
-    return session.kgc_verify(fwd)
 
 
-def _fresh_session(n: int, scheme: Scheme, euler_mode: EulerMode,
-                   rng: np.random.Generator) -> ProtocolSession:
+def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
+                  sigma: str) -> VerificationOutcome:
+    """Verify ``pkg`` forged with ``sigma`` (see :func:`_forged`) in ``session``."""
+    return session.kgc_verify(session.verifier_forward(_forged(pkg, sigma)))
+
+
+def _registration(n: int, scheme: Scheme, euler_mode: EulerMode, rng: np.random.Generator,
+                  ) -> tuple[dict[str, str], EncryptionContext, Circuit, Circuit]:
+    """The KGC's deliveries and the registered cipher and circuits, with no session,
+    from the first two of the key, angle and shot seeds that ``rng`` draws."""
+    qstate._check_ceiling(n)
     seeds = rng.integers(0, 2 ** 31, size=3)
-    return registered_session(RunConfig(
-        n=n,
-        message=MessageSpec.random_product(n, rng),
-        scheme=scheme,
-        euler_mode=euler_mode,
-        seed_keys=int(seeds[0]),
-        seed_lambda=int(seeds[1]),
-        seed_shots=int(seeds[2]),
-    ))
+    deliveries = protocol.draw_keys(n, scheme, np.random.default_rng(int(seeds[0])))
+    key = deliveries["pad-key" if scheme is Scheme.QOTP else "identity-key"]
+    return (deliveries, *protocol.build_cipher(
+        n, scheme, euler_mode, key, np.random.default_rng(int(seeds[1]))))
+
+
+def _verdict(deliveries: dict[str, str], ctx: EncryptionContext, recovery: Circuit,
+             pkg: SignaturePackage) -> VerificationOutcome:
+    """The arbiter's exact verdict on ``pkg`` once the verifier blinds its tag."""
+    key, blind = deliveries["identity-key"], deliveries["blind-key"]
+    fwd = dc_replace(pkg, tag=keys.tag_of_bits(keys.xor_bits(pkg.tag, blind)))
+    return protocol.arbiter_decision(keys.chained_tag(key, blind), fwd, ctx, recovery)[0]
 
 
 SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (
@@ -246,10 +253,12 @@ def forgery_row(n: int, trials: int, seed: int, row: int, cls_index: int,
     details: list[dict[str, Any]] = []
     for t in range(trials):
         rng = np.random.default_rng([seed, row, cls_index, t])
-        session = _fresh_session(n, scheme, mode, rng)
-        pkg = honest_package(session)
+        deliveries, ctx, signing, recovery = _registration(n, scheme, mode, rng)
+        message = MessageSpec.random_product(n, rng).prepare()
+        tag = keys.tag_of_bits(deliveries["identity-key"])
+        honest = SignaturePackage(cipher.run(message, ctx, signing), tag, message)
         sigma = random_pauli_string(n, rng, sigma_class)
-        out = pauli_forgery(session, pkg, sigma)
+        out = _verdict(deliveries, ctx, recovery, _forged(honest, sigma))
         outcomes.append((out.accepted, out.overlap_sq))
         if collect_details:
             details.append({"trial": t, "sigma": sigma, "accepted": out.accepted,
@@ -288,6 +297,8 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     ``key``: the true identity key but self-chosen signing angles.
     ``key-and-lambda``: everything the signer knows (reduces to honest).
     """
+    if n < 1:
+        raise ConfigError(f"impersonation needs n >= 1, got {n}")
     if knowledge not in KNOWLEDGE_LEVELS:
         raise ConfigError(
             f"unknown knowledge level {knowledge!r}; expected {KNOWLEDGE_LEVELS}"
@@ -295,22 +306,17 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     _check_seed(seed)
-    rng = np.random.default_rng([seed, 0])
-    session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, rng)
-    true_key = session.ledger.lookup(SIGNER, "identity-key")
-    blind_key = session.ledger.lookup(VERIFIER, "blind-key")
+    deliveries, ctx, _, recovery = _registration(
+        n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, np.random.default_rng([seed, 0]))
+    true_key, blind_key = deliveries["identity-key"], deliveries["blind-key"]
 
     # Only verifications are recorded: a hash-gate rejection leaves no record
     # unless details are asked for, and the report counts it as a trial.
     outcomes: list[tuple[bool, float | None]] = []
     details: list[dict[str, Any]] = []
-    setup_events = len(session.transcript.events)
 
     def verify(t: int, pkg: SignaturePackage) -> None:
-        out = session.kgc_verify(session.verifier_forward(pkg))
-        # No report reads the transcript: drop this verification's events so
-        # memory does not grow with the number of passes.
-        del session.transcript.events[setup_events:]
+        out = _verdict(deliveries, ctx, recovery, pkg)
         outcomes.append((out.accepted, out.overlap_sq))
         if collect_details:
             details.append({"trial": t, "hash_pass": True, "accepted": out.accepted,
@@ -339,12 +345,12 @@ def impersonation_attempt(n: int, trials: int, seed: int,
             # Knowledge of the key (and possibly the angles): a real signature.
             trial_rng = np.random.default_rng([seed, 1, t])
             message = MessageSpec.random_product(n, trial_rng).prepare()
-            ctx = session.context_for()
+            signer_ctx = ctx
             if knowledge == "key":
-                ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
+                signer_ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
             verify(t, SignaturePackage(
                 message=message,
-                signature=cipher.make_signature(message, ctx),
+                signature=cipher.make_signature(message, signer_ctx),
                 tag=keys.tag_of_bits(true_key),
             ))
 

@@ -12,7 +12,8 @@ Two wirings cover the message routing:
 * ``direct`` -- the signer hands the message register to the arbiter
   directly and the verifier forwards only signature and blinded tag.
 
-The verification math is identical in both.
+The verification math is identical in both. Plain functions compute each
+phase; :class:`ProtocolSession` calls them and logs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import cipher, keys, qstate
 from .cipher import EncryptionContext, EulerMode, Scheme
 from .errors import AqsError, ConfigError
-from .qstate import MAX_QUBITS, OpList, StateVector  # MAX_QUBITS is re-exported
+from .qstate import MAX_QUBITS, Circuit, OpList, StateVector  # MAX_QUBITS is re-exported
 
 EXACT_ACCEPT_THRESHOLD = 1.0 - 1e-9
 
@@ -399,17 +400,78 @@ class Transcript:
         return header + "\n" + row + "\n"
 
 
+# -- the protocol core: what each phase computes, with no transcript or ledger -----------
+
+def draw_keys(n: int, scheme: Scheme, rng: np.random.Generator,
+              identity_key: str | None = None) -> dict[str, str]:
+    """The KGC's deliveries by purpose, in order: the identity key
+    (``identity_key`` if given), the pad key under qotp, the blinding key."""
+    deliveries = {"identity-key": identity_key if identity_key is not None
+                  else keys.random_bits(n, rng)}
+    if scheme is Scheme.QOTP:
+        deliveries["pad-key"] = keys.random_bits(2 * n, rng)
+    deliveries["blind-key"] = keys.random_bits(n, rng)
+    return deliveries
+
+
+def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode, key: str,
+                 rng: np.random.Generator, lambdas: tuple[float, ...] | None = None,
+                 ) -> tuple[EncryptionContext, Circuit, Circuit]:
+    """The registered cipher and its signing and recovery circuits, keyed by the
+    pad key under qotp, else the identity key; ``rng`` draws λ (unless given), θ, φ."""
+    qotp = scheme is Scheme.QOTP
+    if lambdas is None:
+        lambdas = keys.sample_lambda(n, rng)
+    thetas = phis = None
+    if euler_mode is EulerMode.GENERAL:
+        thetas = tuple(float(x) for x in rng.uniform(0, math.pi, n))
+        phis = tuple(float(x) for x in rng.uniform(0, 2 * math.pi, n))
+    ctx = EncryptionContext(
+        scheme=scheme, n=n,
+        perm=None if qotp else keys.derive_permutation(key),
+        qotp_key=key if qotp else None,
+        lambdas=lambdas, thetas=thetas, phis=phis, euler_mode=euler_mode,
+    )
+    signing = tuple(cipher.signature_ops(ctx))
+    return ctx, signing, tuple(cipher.inverse_ops(signing))
+
+
+def arbiter_decision(expected_tag: str, fwd: SignaturePackage, ctx: EncryptionContext,
+                     recovery: Circuit, verify_mode: VerifyMode = VerifyMode.EXACT,
+                     swap_shots: int = qstate.SWAP_TEST_SHOTS,
+                     rng: np.random.Generator | None = None,
+                     ) -> tuple[VerificationOutcome, StateVector | None]:
+    """The arbiter's verdict on ``fwd`` and the state it recovers, which is
+    None on a hash-stage rejection. ``rng`` draws the sampled swap test."""
+    if fwd.tag != expected_tag:
+        return VerificationOutcome(accepted=False, stage="hash-check"), None
+    if fwd.message is None:
+        raise AqsError("no message register available: direct wiring forwards none "
+                       "and the signer sent nothing directly")
+    recovered = cipher.run(fwd.signature, ctx, recovery)
+    ov = qstate.overlap_sq(recovered, fwd.message)
+    pass_probability = qstate.swap_test_pass_probability(ov)
+    if verify_mode is VerifyMode.SAMPLED:
+        accepted, ones = qstate.swap_test_sampled(pass_probability, swap_shots, rng)
+    else:
+        accepted, ones = ov >= EXACT_ACCEPT_THRESHOLD, None
+    return VerificationOutcome(
+        accepted=accepted, stage="state-compare", overlap_sq=ov,
+        pass_probability=pass_probability, swap_ones=ones,
+    ), recovered
+
+
 # -- the session ------------------------------------------------------------------------
 
 class ProtocolSession:
-    """Drives the four phases of one run; its ledger is the one key store.
+    """Drives and logs the four phases of one run; its ledger is the one key store.
 
     The session plays all three parties: the KGC, which is also the arbiter,
     one signer and one verifier. Each phase reads the keys it uses from
     ``ledger``, so a phase run before setup raises the ledger's
     :class:`AqsError`. Only angle registration takes the signer's index,
     which must be 1, the index in the ``SIGNER`` label; any other raises
-    :class:`AqsError`, as does signing or recovery before registration.
+    :class:`AqsError`, as does signing or verification before registration.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -418,12 +480,11 @@ class ProtocolSession:
         self.ledger = keys.DeliveryLedger()
         self._rng_keys = np.random.default_rng(config.seed_keys)
         self._rng_lambda = np.random.default_rng(config.seed_lambda)
-        # Built on first use: most sessions never sample.
-        self._rng_shots: np.random.Generator | None = None
-        # Built at angle registration, together with its signing and
-        # recovery circuits.
+        # The generator behind the sampled swap test and the shot histogram.
+        self.shots_rng = np.random.default_rng(config.seed_shots)
+        # Built at angle registration, by build_cipher.
         self._ctx: EncryptionContext | None = None
-        self._circuits: tuple[tuple[qstate.Op, ...], ...] = ((), ())
+        self._circuits: tuple[Circuit, Circuit] = ((), ())
         self._proof: SignatureProof | None = None
         self._direct_message: StateVector | None = None
         self._last_recovered: StateVector | None = None
@@ -432,22 +493,14 @@ class ProtocolSession:
 
     def setup(self) -> None:
         cfg = self.config
-        n = cfg.n
-        bits = cfg.inject_key_bits
-        if bits is None:
-            bits = keys.random_bits(n, self._rng_keys)
-        self._record_delivery(SIGNER, "identity-key", bits)
-        if cfg.scheme is Scheme.QOTP:
-            self._record_delivery(SIGNER, "pad-key",
-                                  keys.random_bits(2 * n, self._rng_keys))
-        self._record_delivery(VERIFIER, "blind-key", keys.random_bits(n, self._rng_keys))
-
-    def _record_delivery(self, to: str, purpose: str, bits: str) -> None:
-        self.ledger.distribute(to, purpose, bits)
-        self.transcript.append(
-            "delivery", KGC, to,
-            {"purpose": purpose, "channel": "qkd", "bits": bits, "length": len(bits)},
-        )
+        deliveries = draw_keys(cfg.n, cfg.scheme, self._rng_keys, cfg.inject_key_bits)
+        for purpose, bits in deliveries.items():
+            to = VERIFIER if purpose == "blind-key" else SIGNER
+            self.ledger.distribute(to, purpose, bits)
+            self.transcript.append(
+                "delivery", KGC, to,
+                {"purpose": purpose, "channel": "qkd", "bits": bits, "length": len(bits)},
+            )
 
     # -- phase 2: signing-angle registration
 
@@ -455,33 +508,19 @@ class ProtocolSession:
         if f"signer_{index}" != SIGNER:
             raise AqsError(f"no signer {index} in this session")
         cfg = self.config
-        qotp = cfg.scheme is Scheme.QOTP
-        key = self.ledger.lookup(SIGNER, "pad-key" if qotp else "identity-key")
-        n = cfg.n
-        lams = cfg.inject_lambdas
-        if lams is None:
-            lams = keys.sample_lambda(n, self._rng_lambda)
-        payload: dict[str, Any] = {"lambdas": list(lams), "count": n}
-        thetas = phis = None
+        key = self.ledger.lookup(
+            SIGNER, "pad-key" if cfg.scheme is Scheme.QOTP else "identity-key")
+        ctx, signing, recovery = build_cipher(cfg.n, cfg.scheme, cfg.euler_mode, key,
+                                              self._rng_lambda, cfg.inject_lambdas)
+        self._ctx, self._circuits = ctx, (signing, recovery)
+        payload: dict[str, Any] = {"lambdas": list(ctx.lambdas), "count": cfg.n}
         if cfg.euler_mode is EulerMode.GENERAL:
-            thetas = tuple(float(x) for x in self._rng_lambda.uniform(0, math.pi, n))
-            phis = tuple(float(x) for x in self._rng_lambda.uniform(0, 2 * math.pi, n))
-            payload["thetas"] = list(thetas)
-            payload["phis"] = list(phis)
-        ctx = EncryptionContext(
-            scheme=cfg.scheme, n=n,
-            perm=None if qotp else keys.derive_permutation(key),
-            qotp_key=key if qotp else None,
-            lambdas=lams, thetas=thetas, phis=phis, euler_mode=cfg.euler_mode,
-        )
-        signing = tuple(cipher.signature_ops(ctx))
-        self._ctx, self._circuits = ctx, (signing, tuple(cipher.inverse_ops(signing)))
+            payload["thetas"] = list(ctx.thetas)
+            payload["phis"] = list(ctx.phis)
         # The angle transfer rides the authenticated channel, so the arbiter
         # reads the signer's angles from the same record.
         self.transcript.append("lambda-registration", SIGNER, KGC, payload)
-        return lams
-
-    # -- shared context construction
+        return ctx.lambdas
 
     def context_for(self) -> EncryptionContext:
         if self._ctx is None:
@@ -493,7 +532,8 @@ class ProtocolSession:
     def sign(self, message: StateVector) -> SignaturePackage:
         tag = keys.tag_of_bits(self.ledger.lookup(SIGNER, "identity-key"))
         ctx = self.context_for()
-        signature = self._run_phase(SIGNER, message, ctx, self._circuits[0])
+        signature = cipher.run(message, ctx, self._circuits[0])
+        self._log_phase(SIGNER, ctx, self._circuits[0])
         return self._send("package", SIGNER, VERIFIER, SignaturePackage(
             message=message, signature=signature, tag=tag))
 
@@ -509,10 +549,8 @@ class ProtocolSession:
         )
         return pkg
 
-    def _run_phase(self, owner: str, state: StateVector, ctx: EncryptionContext,
-                   circuit: tuple[qstate.Op, ...]) -> StateVector:
-        """Run one party's cipher circuit, then log its gates and skipped steps."""
-        state = cipher.run(state, ctx, circuit)
+    def _log_phase(self, owner: str, ctx: EncryptionContext, circuit: Circuit) -> None:
+        """Log the gates of the cipher circuit ``owner`` ran, then its skipped steps."""
         self._log_gates(owner, [(name, qubits) for name, qubits, _ in circuit])
         # Identity chain steps stay out of the gate count but leave a trace.
         if ctx.perm is not None:
@@ -521,7 +559,6 @@ class ProtocolSession:
                     self.transcript.append(
                         "skipped-step", owner, owner, {"slot": j}
                     )
-        return state
 
     def _log_gates(self, owner: str, gate_ops: OpList) -> None:
         for name, qubits in gate_ops:
@@ -561,32 +598,15 @@ class ProtocolSession:
         cfg = self.config
         expected = keys.chained_tag(self.ledger.lookup(SIGNER, "identity-key"),
                                     self.ledger.lookup(VERIFIER, "blind-key"))
-        if fwd.tag != expected:
-            outcome = VerificationOutcome(accepted=False, stage="hash-check")
-            self._finish(outcome)
-            return outcome
-        if fwd.message is None:
-            if self._direct_message is None:
-                raise AqsError(
-                    "no message register available: relay wiring forwards none "
-                    "and the signer sent nothing directly"
-                )
-            fwd = dataclasses.replace(fwd, message=self._direct_message)
         ctx = self.context_for()
-        recovered = self._run_phase(KGC, fwd.signature, ctx, self._circuits[1])
-        self._last_recovered = recovered
-        ov = qstate.overlap_sq(recovered, fwd.message)
-        pass_probability = qstate.swap_test_pass_probability(ov)
-        if cfg.verify_mode is VerifyMode.SAMPLED:
-            accepted, ones = qstate.swap_test_sampled(
-                pass_probability, cfg.swap_shots, self.shots_rng
-            )
-        else:
-            accepted, ones = ov >= EXACT_ACCEPT_THRESHOLD, None
-        outcome = VerificationOutcome(
-            accepted=accepted, stage="state-compare", overlap_sq=ov,
-            pass_probability=pass_probability, swap_ones=ones,
-        )
+        if fwd.message is None:
+            fwd = dataclasses.replace(fwd, message=self._direct_message)
+        outcome, recovered = arbiter_decision(
+            expected, fwd, ctx, self._circuits[1], cfg.verify_mode, cfg.swap_shots,
+            self.shots_rng)
+        if recovered is not None:
+            self._last_recovered = recovered
+            self._log_phase(KGC, ctx, self._circuits[1])
         if outcome.accepted:
             proof = SignatureProof(signer=SIGNER, lambdas=ctx.lambdas, tag=fwd.tag)
             self._proof = proof
@@ -595,14 +615,9 @@ class ProtocolSession:
                 {"signer": SIGNER, "lambdas": list(proof.lambdas),
                  "tag": proof.tag},
             )
-        self._finish(outcome)
-        return outcome
-
-    def _finish(self, outcome: VerificationOutcome) -> None:
-        self.transcript.append(
-            "outcome", KGC, VERIFIER, outcome.to_payload()
-        )
+        self.transcript.append("outcome", KGC, VERIFIER, outcome.to_payload())
         self.transcript.outcome = outcome
+        return outcome
 
     # -- dispute resolution
 
@@ -610,13 +625,6 @@ class ProtocolSession:
         if self._proof is None:
             raise AqsError("no accepted signature proof stored")
         return self._proof
-
-    @property
-    def shots_rng(self) -> np.random.Generator:
-        """The generator behind the sampled swap test and the shot histogram."""
-        if self._rng_shots is None:
-            self._rng_shots = np.random.default_rng(self.config.seed_shots)
-        return self._rng_shots
 
 
 def _pseudo_gates(name: str, n: int) -> OpList:

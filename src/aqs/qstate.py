@@ -59,6 +59,7 @@ SWAP_TEST_SHOTS = 64
 Op = tuple[str, tuple[int, ...], np.ndarray]
 # What circuit accounting keeps of each applied gate: its name and qubits.
 OpList = list[tuple[str, tuple[int, ...]]]
+Circuit = tuple[Op, ...]  # a compiled circuit: ops in application order, immutable
 
 
 def _check_qubit(n: int, qubit: int, role: str = "qubit") -> int:

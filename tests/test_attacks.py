@@ -14,9 +14,9 @@ from aqs.attacks import (
     KNOWLEDGE_LEVELS,
     SIGMA_CLASSES,
     _GUESS_CHUNK,
-    _fresh_session,
     _key_guesses,
     apply_pauli_string,
+    forgery_row,
     forgery_sweep,
     honest_package,
     impersonation_attempt,
@@ -26,6 +26,8 @@ from aqs.attacks import (
     reports_to_json,
     tamper_in_transit,
 )
+from aqs import keys, protocol
+from aqs.attacks import SWEEP_ROWS
 from aqs.cipher import EulerMode, Scheme
 from aqs.errors import ConfigError
 from aqs.keys import chained_tag, random_bits, tag_of_bits
@@ -38,6 +40,7 @@ from aqs.protocol import (
     RunConfig,
     SignaturePackage,
     TamperSpec,
+    Transcript,
     Wiring,
     registered_session,
 )
@@ -247,6 +250,17 @@ class TestImpersonation:
             with pytest.raises(ConfigError, match="non-negative"):
                 impersonation_attempt(3, 2, -1, knowledge=knowledge)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_register_rejected(self, n):
+        for knowledge in KNOWLEDGE_LEVELS:
+            with pytest.raises(ConfigError, match=rf"impersonation needs n >= 1, got {n}"):
+                impersonation_attempt(n, 5, 0, knowledge=knowledge)
+
+    def test_register_above_ceiling_rejected(self):
+        for knowledge in KNOWLEDGE_LEVELS:
+            with pytest.raises(ConfigError, match="qubit ceiling"):
+                impersonation_attempt(protocol.MAX_QUBITS + 1, 5, 0, knowledge=knowledge)
+
     def test_deterministic(self):
         a = impersonation_attempt(n=6, trials=50, seed=5)
         b = impersonation_attempt(n=6, trials=50, seed=5)
@@ -273,8 +287,13 @@ class TestImpersonationGuessStream:
     def test_hash_pass_is_the_chained_tag_of_each_guess(self):
         n, trials, seed = 4, 1100, 21
         report = impersonation_attempt(n, trials, seed, collect_details=True)
-        session = _fresh_session(n, Scheme.CHAINED_CU, EulerMode.DIAGONAL,
-                                 np.random.default_rng([seed, 0]))
+        # A session run from the [seed, 0] draws (key, angle and shot seeds,
+        # then a message) holds the keys and angles the attack verifies against.
+        rng = np.random.default_rng([seed, 0])
+        seeds = [int(s) for s in rng.integers(0, 2 ** 31, size=3)]
+        session = registered_session(RunConfig(
+            n=n, message=MessageSpec.random_product(n, rng), seed_keys=seeds[0],
+            seed_lambda=seeds[1], seed_shots=seeds[2]))
         key = session.ledger.lookup(SIGNER, "identity-key")
         blind = session.ledger.lookup(VERIFIER, "blind-key")
         stream = random_bits(trials * n, np.random.default_rng([seed, 1]))
@@ -321,6 +340,32 @@ class TestImpersonationGuessStream:
                 tracemalloc.stop()
             assert (report.trials, report.hash_pass_count) == (trials, 0)
         assert peaks[1] - peaks[0] < 16 * 1024
+
+
+class TestTrialsBuildNoSession:
+    """Forgery and impersonation trials run on the protocol core: any run
+    config, session, transcript or key ledger they built would fail here."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_session_objects(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an attack trial built a protocol session object")
+
+        for cls in (RunConfig, ProtocolSession, Transcript, keys.DeliveryLedger):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        with pytest.raises(AssertionError, match="session object"):
+            registered_session(None)
+
+    @pytest.mark.parametrize("row", range(len(SWEEP_ROWS)))
+    def test_forgery_rows(self, row):
+        for cls_index in range(len(SIGMA_CLASSES)):
+            report = forgery_row(3, 4, 2, row, cls_index, collect_details=True)
+            assert len(report.details) == 4
+
+    @pytest.mark.parametrize("knowledge", KNOWLEDGE_LEVELS)
+    def test_impersonation_levels(self, knowledge):
+        report = impersonation_attempt(4, 300, 5, knowledge=knowledge)
+        assert report.hash_pass_count > 0  # verifications ran, not just the gate
 
 
 class TestTamperInTransit:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from aqs import attacks, cli, qstate
+from aqs import attacks, cli, protocol, qstate
 from aqs.protocol import MAX_QUBITS, VerificationOutcome
 from aqs.qstate import ShotHistogram
 
@@ -310,13 +310,14 @@ class TestAttack:
     ])
     def test_sweep_runs_only_the_rows_it_prints(self, monkeypatch, capsys, tmp_path,
                                                 argv, rows):
-        sessions = []
-        real = attacks._fresh_session
-        monkeypatch.setattr(attacks, "_fresh_session",
-                            lambda *a: sessions.append(a) or real(*a))
+        # Each trial draws its keys once.
+        draws = []
+        real = protocol.draw_keys
+        monkeypatch.setattr(protocol, "draw_keys",
+                            lambda *a: draws.append(a) or real(*a))
         assert run_cli("attack", "--sweep", "pauli", *argv, "--trials", "5",
                        "--verbose", "--out", str(tmp_path / "s")) == 0
-        assert len(sessions) == 5 * len(rows)
+        assert len(draws) == 5 * len(rows)
         sweep = attacks.forgery_sweep(4, 5, 0, collect_details=True)
         kept = [sweep[i] for i in rows]
         assert capsys.readouterr().out == attacks.reports_to_csv(kept)
@@ -345,6 +346,13 @@ class TestAttack:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
         assert "trials must be positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("qubits", ["0", "-1"])
+    def test_impersonation_empty_register_exits_2(self, capsys, qubits):
+        assert run_cli("attack", "--impersonate", "none", "--qubits", qubits) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: impersonation needs n >= 1, got {qubits}\n"
         assert captured.out == ""
 
     def test_tamper_tag_flip(self, capsys, tmp_path):

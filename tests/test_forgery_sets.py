@@ -5,6 +5,7 @@ arbiter accepts it when U^dag sigma U |m> equals sigma |m> up to a phase.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ import pytest
 from aqs.attacks import honest_package, pauli_forgery
 from aqs.cipher import EulerMode, Scheme
 from aqs.keys import derive_permutation, random_bits, tag_of_bits
-from aqs.protocol import MessageSpec, RunConfig, SignaturePackage, registered_session
+from aqs.protocol import (
+    EXACT_ACCEPT_THRESHOLD,
+    MessageSpec,
+    RunConfig,
+    SignaturePackage,
+    registered_session,
+)
 from aqs.qstate import StateVector, basis_state
 
 from oracles import (
@@ -187,3 +194,43 @@ class TestReplayedTag:
                     # The arbiter compares U^dag|x> with |x>: |<x|U|x>|^2.
                     want = min(abs(signature_matrix(session)[x, x]) ** 2, 1.0)
                     assert out.overlap_sq == pytest.approx(want, abs=1e-10)
+
+
+class TestUnchainedQubitWindow:
+    """A qubit the chain leaves alone (perm[j] = j) gets only the diagonal
+    signing rotation diag(1, e^{i lambda_j}): I at lambda_j = 0 and Z at pi,
+    which both map X and Y to themselves up to sign. For sigma = YI, qubit 0
+    unchained and p = |beta_0|^2, the forged overlap is exactly
+    1 - 4 p (1 - p) sin^2(lambda_0), so the exact threshold lets the forgery
+    through when sin^2(lambda_0) <= 1e-9 / (4 p (1 - p))."""
+
+    P = 0.3
+    DECISIONS = [(1e-6, True), (math.pi - 1e-6, True), (1e-4, False),
+                 (1e-3, False), (math.pi - 1e-3, False), (1.0, False)]
+
+    def forge(self, key: str, lam0: float):
+        message = MessageSpec.product([(math.sqrt(1 - self.P), math.sqrt(self.P)),
+                                       (0.6, 0.8j)])
+        config = RunConfig(n=2, message=message, scheme=Scheme.CHAINED_CU,
+                           euler_mode=EulerMode.DIAGONAL, inject_key_bits=key,
+                           inject_lambdas=(lam0, 0.7))
+        session, pkg = signed_session(config)
+        return session, pkg, pauli_forgery(session, pkg, "YI")
+
+    @pytest.mark.parametrize("key", ["00", "01"])
+    @pytest.mark.parametrize("lam0, accepted", DECISIONS)
+    def test_unchained_qubit_follows_the_closed_form(self, key, lam0, accepted):
+        assert derive_permutation(key) == (0, 1)
+        _, _, out = self.forge(key, lam0)
+        want = 1 - 4 * self.P * (1 - self.P) * math.sin(lam0) ** 2
+        assert out.overlap_sq == pytest.approx(want, rel=0, abs=1e-14)
+        assert out.accepted == (want >= EXACT_ACCEPT_THRESHOLD) == accepted
+
+    @pytest.mark.parametrize("lam0", [lam0 for lam0, _ in DECISIONS])
+    def test_chained_qubit_matches_the_full_matrix(self, lam0):
+        assert derive_permutation("10") == (1, 0)
+        session, pkg, out = self.forge("10", lam0)
+        u, m, s = signature_matrix(session), pkg.message.amps, pauli_string_matrix("YI")
+        want = min(abs(np.vdot(s @ m, u.conj().T @ s @ u @ m)) ** 2, 1.0)
+        assert out.overlap_sq == pytest.approx(want, abs=1e-10)
+        assert out.accepted == (want >= EXACT_ACCEPT_THRESHOLD)

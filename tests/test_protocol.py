@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from aqs import cipher, gates, reports
+from aqs.attacks import SWEEP_ROWS, apply_pauli_string
 from aqs.cipher import EulerMode, Scheme, inverse_ops, signature_ops
 from aqs.errors import AqsError, ConfigError
 from aqs.keys import chained_tag, tag_of_bits, xor_bits
@@ -34,6 +36,9 @@ from aqs.protocol import (
     VerifyMode,
     Wiring,
     _fingerprint,
+    arbiter_decision,
+    build_cipher,
+    draw_keys,
     honest_gate_events,
     registered_session,
     run_protocol,
@@ -461,6 +466,55 @@ class TestForwardAndVerify:
         proof = session.arbitrate_dispute()
         assert proof.signer == SIGNER == "signer_1"
         assert proof.lambdas == session._ctx.lambdas
+
+
+class TestProtocolCore:
+    """The core functions, on generators seeded from a config, give what the
+    session does: its keys, its signature, its verdicts and recovered states."""
+
+    @pytest.mark.parametrize("wiring", list(Wiring))
+    @pytest.mark.parametrize("verify_mode", list(VerifyMode))
+    @pytest.mark.parametrize("scheme,mode", SWEEP_ROWS)
+    def test_arbiter_decision_matches_kgc_verify(self, scheme, mode, verify_mode, wiring):
+        n = 4
+        for seed, case in itertools.product(range(3), ("honest", "signature-x", "tag-flip")):
+            cfg = RunConfig(
+                n=n, message=MessageSpec.random_product(n, np.random.default_rng([7, seed])),
+                scheme=scheme, euler_mode=mode, wiring=wiring, verify_mode=verify_mode,
+                seed_keys=seed, seed_lambda=seed + 10, seed_shots=seed + 20, swap_shots=64,
+            )
+            deliveries = draw_keys(n, scheme, np.random.default_rng(cfg.seed_keys))
+            key = deliveries["pad-key" if scheme is Scheme.QOTP else "identity-key"]
+            ctx, signing, recovery = build_cipher(n, scheme, mode, key,
+                                                  np.random.default_rng(cfg.seed_lambda))
+            session = registered_session(cfg)
+            assert delivered_keys(session) == (deliveries["identity-key"],
+                                               deliveries["blind-key"])
+            message = cfg.message.prepare()
+            pkg = session.sign(message)
+            assert pkg.signature.amps.tobytes() == \
+                cipher.run(message, ctx, signing).amps.tobytes()
+            if wiring is Wiring.DIRECT:
+                session.send_message_direct(message)
+            fwd = session.verifier_forward(pkg)
+            if case == "signature-x":
+                fwd = dataclasses.replace(
+                    fwd, signature=apply_pauli_string(fwd.signature, "XIII"))
+            elif case == "tag-flip":
+                fwd = dataclasses.replace(
+                    fwd, tag=("1" if fwd.tag[0] == "0" else "0") + fwd.tag[1:])
+
+            got = session.kgc_verify(fwd)
+            want, recovered = arbiter_decision(
+                chained_tag(deliveries["identity-key"], deliveries["blind-key"]),
+                dataclasses.replace(fwd, message=message), ctx, recovery,
+                verify_mode, cfg.swap_shots, np.random.default_rng(cfg.seed_shots))
+            assert got.to_payload() == want.to_payload()
+            assert (got.stage == "hash-check") == (case == "tag-flip")
+            if recovered is None:
+                assert session._last_recovered is None
+            else:
+                assert recovered.amps.tobytes() == session._last_recovered.amps.tobytes()
 
 
 def phase_events(session: ProtocolSession, run_phase):

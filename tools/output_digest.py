@@ -46,7 +46,9 @@ relay, sampled swap test), honest and tampered, each on three seeds with
 bytes and the histogram CSV of each run. It also covers the ``impersonation``
 workload's size: ``impersonation_attempt(16, 10**4, seed, collect_details=True)``
 for each seed in :data:`IMPERSONATION_SEEDS`, as report JSON with details.
-Seed 0's guesses all fail the hash gate; one of seed 7's passes it.
+Seed 0's guesses all fail the hash gate; one of seed 7's passes it. Last comes
+the ``forgery-sweep`` workload's size: ``forgery_sweep(4, 100, seed,
+collect_details=True)`` for each seed in :data:`FORGERY_SEEDS`, as report JSON.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ BENCH_CASES = (
 
 
 IMPERSONATION_SEEDS = (0, 7)
+FORGERY_SEEDS = (0, 1)
 
 
 def bench_size_outputs():
@@ -159,6 +162,9 @@ def bench_size_outputs():
     for seed in IMPERSONATION_SEEDS:
         report = attacks.impersonation_attempt(16, 10**4, seed, collect_details=True)
         yield attacks.reports_to_json([report]).encode()
+    for seed in FORGERY_SEEDS:
+        sweep = attacks.forgery_sweep(4, 100, seed, collect_details=True)
+        yield attacks.reports_to_json(sweep).encode()
 
 
 def attack_outputs():
