@@ -1,9 +1,13 @@
 """Executable adversary models: Pauli forgeries, impersonation, in-transit tampering.
 
 Forgery and impersonation trials call the protocol core and build no session
-or transcript. Every experiment is deterministic per seed: trial t of sweep
-row r and sigma class c draws key, angle and shot seeds, its message and sigma
-from ``default_rng([seed, r, c, t])``. Impersonation draws its seeds from
+or transcript. A forgery trial makes one state pass each to sign, to forge
+the message, to forge the signature and to recover: the Pauli string is one
+op list, run on each forged register by one :func:`aqs.qstate.apply_ops` call.
+
+Every experiment is deterministic per seed: trial t of sweep row r and sigma
+class c draws key, angle and shot seeds, its message and sigma from
+``default_rng([seed, r, c, t])``. Impersonation draws its seeds from
 ``default_rng([seed, 0])``. At the ``none`` level every key guess comes, in
 trial order, from the one stream ``default_rng([seed, 1])``: guess t is an
 n-bit int, read MSB first from bits [t*n, (t+1)*n) of the draws
@@ -33,23 +37,27 @@ from .protocol import (
     _check_seed,
     run_protocol,
 )
-from .qstate import Circuit, StateVector
+from .qstate import Circuit, Op, StateVector
 
 PAULI_LETTERS = "IXYZ"
 
 SIGMA_CLASSES = ("diagonal", "xy", "random")
 
 
+def _pauli_ops(sigma: str, n: int) -> list[Op]:
+    """The op list of ``sigma`` on an n-qubit register: one read-only Pauli per
+    letter that is not 'I' (letters are case-insensitive), in qubit order."""
+    if len(sigma) != n:
+        raise ConfigError(f"pauli string length {len(sigma)} != register size {n}")
+    return [(letter, (q,), gates.pauli(letter))
+            for q, letter in enumerate(sigma.upper()) if letter != "I"]
+
+
 def apply_pauli_string(state: StateVector, sigma: str) -> StateVector:
-    """Apply one Pauli letter per qubit; 'I' entries are skipped."""
-    if len(sigma) != state.n:
-        raise ConfigError(
-            f"pauli string length {len(sigma)} != register size {state.n}"
-        )
-    for q, letter in enumerate(sigma.upper()):
-        if letter == "I":
-            continue
-        state = qstate.apply_single(state, q, gates.pauli(letter))
+    """Apply one Pauli letter per qubit, one gate application each; 'I'
+    entries are skipped."""
+    for _, (q,), gate in _pauli_ops(sigma, state.n):
+        state = qstate.apply_single(state, q, gate)
     return state
 
 
@@ -188,10 +196,14 @@ def _forged(pkg: SignaturePackage, sigma: str) -> SignaturePackage:
 
     The identity tag binds the signer, not the message, so the forged pair
     sails through the hash gate; the state compare is the only obstacle.
+    Each register takes the string's op list in one :func:`aqs.qstate.apply_ops`
+    pass. X, Y and Z take the kernels' anti-diagonal and diagonal paths, so
+    the bytes equal those of :func:`apply_pauli_string`.
     """
+    ops = _pauli_ops(sigma, pkg.signature.n)
     return SignaturePackage(
-        message=apply_pauli_string(pkg.message, sigma),
-        signature=apply_pauli_string(pkg.signature, sigma),
+        message=qstate.apply_ops(pkg.message, ops),
+        signature=qstate.apply_ops(pkg.signature, ops),
         tag=pkg.tag,
     )
 
@@ -218,7 +230,8 @@ def _verdict(deliveries: dict[str, str], ctx: EncryptionContext, recovery: Circu
              pkg: SignaturePackage) -> VerificationOutcome:
     """The arbiter's exact verdict on ``pkg`` once the verifier blinds its tag."""
     key, blind = deliveries["identity-key"], deliveries["blind-key"]
-    fwd = dc_replace(pkg, tag=keys.tag_of_bits(keys.xor_bits(pkg.tag, blind)))
+    fwd = SignaturePackage(pkg.signature, keys.tag_of_bits(keys.xor_bits(pkg.tag, blind)),
+                           pkg.message)
     return protocol.arbiter_decision(keys.chained_tag(key, blind), fwd, ctx, recovery)[0]
 
 

@@ -134,16 +134,10 @@ class EncryptionContext:
 
 # -- op lists -----------------------------------------------------------------------
 
-def _read_only(gate: np.ndarray) -> np.ndarray:
-    gate.setflags(write=False)
-    return gate
-
-
 def encryption_ops(ctx: EncryptionContext) -> list[Op]:
     """The scheme's encryption circuit, in application order."""
+    z, x = gates.PAULIS["Z"], gates.PAULIS["X"]
     if ctx.scheme is Scheme.QOTP:
-        z = _read_only(gates.pauli_z())
-        x = _read_only(gates.pauli_x())
         ops: list[Op] = []
         for j in range(ctx.n):
             if ctx.qotp_key[2 * j] == "1":
@@ -152,7 +146,6 @@ def encryption_ops(ctx: EncryptionContext) -> list[Op]:
                 ops.append(("x", (j,), x))
         return ops
     if ctx.scheme is Scheme.CHAINED_CNOT:
-        x = _read_only(gates.pauli_x())
         return [("cnot", (j, t), x) for j, t in enumerate(ctx.perm) if t != j]
     # The cu chain is the signature less its signing layer.
     return signature_ops(ctx)[:-ctx.n]
@@ -170,7 +163,7 @@ def signature_ops(ctx: EncryptionContext) -> list[Op]:
     rotation is built once for its ``cu`` and its ``u`` entry."""
     if ctx.scheme is not Scheme.CHAINED_CU:
         return encryption_ops(ctx)
-    rotations = [_read_only(ctx.rotation(j)) for j in range(ctx.n)]
+    rotations = [gates._read_only(ctx.rotation(j)) for j in range(ctx.n)]
     chain = [("cu", (j, t), rotations[j]) for j, t in enumerate(ctx.perm) if t != j]
     return chain + [("u", (j,), u) for j, u in enumerate(rotations)]
 
@@ -186,7 +179,7 @@ def inverse_ops(ops: Sequence[Op]) -> list[Op]:
     for name, qubits, gate in reversed(ops):
         adj = adjoints.get(id(gate))
         if adj is None:
-            adj = adjoints[id(gate)] = _read_only(gates.adjoint(gate))
+            adj = adjoints[id(gate)] = gates._read_only(gates.adjoint(gate))
         inverse.append((_ADJOINT_NAMES.get(name, name), qubits, adj))
     return inverse
 

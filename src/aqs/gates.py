@@ -1,6 +1,8 @@
-"""Single-qubit gate constructors.
+"""Single-qubit gate constructors and the Pauli matrices.
 
-Everything here returns a fresh 2x2 complex128 matrix. The general rotation
+The constructors return a fresh 2x2 complex128 matrix. The Pauli matrices
+are also read-only module constants, :data:`PAULIS`, which :func:`pauli`
+returns and every op list that needs a Pauli shares. The general rotation
 follows the convention
 
     U(theta, phi, lam) = [[cos(t/2),              -exp(i*lam) sin(t/2)],
@@ -48,18 +50,22 @@ def pauli_z() -> np.ndarray:
     return np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
+def _read_only(gate: np.ndarray) -> np.ndarray:
+    gate.setflags(write=False)
+    return gate
+
+
+PAULIS = {"I": _read_only(identity_gate()), "X": _read_only(pauli_x()),
+          "Y": _read_only(pauli_y()), "Z": _read_only(pauli_z())}
+
+
 def pauli(name: str) -> np.ndarray:
-    """Pauli matrix by letter; 'I', 'X', 'Y' or 'Z' (case-insensitive)."""
-    table = {
-        "I": identity_gate,
-        "X": pauli_x,
-        "Y": pauli_y,
-        "Z": pauli_z,
-    }
-    key = name.upper()
-    if key not in table:
+    """The read-only Pauli matrix by letter; 'I', 'X', 'Y' or 'Z'
+    (case-insensitive)."""
+    gate = PAULIS.get(name.upper())
+    if gate is None:
         raise ConfigError(f"unknown Pauli {name!r}; expected one of I, X, Y, Z")
-    return table[key]()
+    return gate
 
 
 def is_unitary(gate: np.ndarray) -> bool:

@@ -110,12 +110,11 @@ def apply_controlled_inplace(amps: np.ndarray, cmask: int, tmask: int,
     # Axis layout (blocks, 2, middle, 2, low): axes 1 and 3 are the higher
     # and the lower selected bit.
     view = amps.reshape(dim // (2 * high), 2, high // (2 * low), 2, low)
+    # Each half is one index into the view: control fixed at 1, target at 0 or 1.
     if cmask == high:
-        on = view[:, 1]  # (blocks, middle, 2, low): target is axis 2
-        _update(on[:, :, 0], on[:, :, 1], entries, path)
+        _update(view[:, 1, :, 0], view[:, 1, :, 1], entries, path)
     else:
-        on = view[:, :, :, 1]  # (blocks, 2, middle, low): target is axis 1
-        _update(on[:, 0], on[:, 1], entries, path)
+        _update(view[:, 0, :, 1], view[:, 1, :, 1], entries, path)
 
 
 def apply_block_inplace(amps: np.ndarray, mask: int,

@@ -7,6 +7,7 @@ prefix so inputs of different lengths can never collide via padding.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from collections.abc import Callable
@@ -76,10 +77,11 @@ def pack_bits(bits: str) -> bytes:
     return _packer(len(bits))(int(bits, 2))
 
 
+@functools.lru_cache(maxsize=64)
 def _tagger(length: int, out_bits: int) -> Callable[[int], int]:
     """:func:`tag_of_bits` on ints: maps ``value``, read as a ``length``-bit
-    string, to its ``out_bits``-bit tag as an int. Build it once and call it per
-    value; callers check the arguments."""
+    string, to its ``out_bits``-bit tag as an int. Built once per
+    ``(length, out_bits)`` and kept; callers check the arguments."""
     pack, shake = _packer(length), hashlib.shake_256
     size, drop = (out_bits + 7) // 8, -out_bits % 8
 
@@ -108,7 +110,7 @@ def sample_lambda(count: int, rng: np.random.Generator) -> tuple[float, ...]:
     """Independent signing angles, uniform over [0, pi]."""
     if count < 1:
         raise ConfigError(f"count must be positive, got {count}")
-    return tuple(float(x) for x in rng.uniform(0.0, LAMBDA_MAX, size=count))
+    return tuple(rng.uniform(0.0, LAMBDA_MAX, size=count).tolist())
 
 
 # -- trusted-delivery bookkeeping -------------------------------------------------

@@ -104,11 +104,13 @@ class MessageSpec:
     def random_product(n: int, rng: np.random.Generator) -> "MessageSpec":
         """Per-qubit states drawn uniformly on the Bloch sphere."""
         qstate._check_ceiling(n)
+        # Two draws per qubit, in one call: the same draws as rng.uniform() and
+        # rng.uniform(0, 2 pi) per qubit, for less.
+        draws = rng.random(2 * max(n, 0)).tolist()
         pairs = []
-        for _ in range(n):
-            # The same draws as rng.uniform() and rng.uniform(0, 2 pi), for less.
-            theta = math.acos(1.0 - 2.0 * rng.random())
-            phi = 2.0 * math.pi * rng.random()
+        for u, v in zip(draws[::2], draws[1::2]):
+            theta = math.acos(1.0 - 2.0 * u)
+            phi = 2.0 * math.pi * v
             pairs.append(
                 (math.cos(theta / 2.0),
                  complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2.0))
@@ -405,12 +407,19 @@ class Transcript:
 def draw_keys(n: int, scheme: Scheme, rng: np.random.Generator,
               identity_key: str | None = None) -> dict[str, str]:
     """The KGC's deliveries by purpose, in order: the identity key
-    (``identity_key`` if given), the pad key under qotp, the blinding key."""
-    deliveries = {"identity-key": identity_key if identity_key is not None
-                  else keys.random_bits(n, rng)}
-    if scheme is Scheme.QOTP:
-        deliveries["pad-key"] = keys.random_bits(2 * n, rng)
-    deliveries["blind-key"] = keys.random_bits(n, rng)
+    (``identity_key`` if given), the pad key under qotp, the blinding key.
+
+    The drawn keys are cut from one ``keys.random_bits`` draw, in that order.
+    Its draws are chunk-invariant, so these are the bits of one draw per key.
+    """
+    pad = 2 * n if scheme is Scheme.QOTP else 0
+    bits = keys.random_bits((n if identity_key is None else 0) + pad + n, rng)
+    if identity_key is None:
+        identity_key, bits = bits[:n], bits[n:]
+    deliveries = {"identity-key": identity_key}
+    if pad:
+        deliveries["pad-key"], bits = bits[:pad], bits[pad:]
+    deliveries["blind-key"] = bits
     return deliveries
 
 
@@ -424,8 +433,8 @@ def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode, key: str,
         lambdas = keys.sample_lambda(n, rng)
     thetas = phis = None
     if euler_mode is EulerMode.GENERAL:
-        thetas = tuple(float(x) for x in rng.uniform(0, math.pi, n))
-        phis = tuple(float(x) for x in rng.uniform(0, 2 * math.pi, n))
+        thetas = tuple(rng.uniform(0, math.pi, n).tolist())
+        phis = tuple(rng.uniform(0, 2 * math.pi, n).tolist())
     ctx = EncryptionContext(
         scheme=scheme, n=n,
         perm=None if qotp else keys.derive_permutation(key),
@@ -726,9 +735,15 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
 
 def honest_gate_events(config: RunConfig) -> OpList:
     """The gate events :func:`run_protocol` logs for an honest run of ``config``
-    (no tamper), read from the circuits that angle registration builds: no
-    state is prepared."""
-    signing, recovery = registered_session(config)._circuits
+    (no tamper), read from the circuits that angle registration builds, drawn
+    from the same seeds with no session: no state is prepared and nothing is
+    logged."""
+    deliveries = draw_keys(config.n, config.scheme,
+                           np.random.default_rng(config.seed_keys), config.inject_key_bits)
+    key = deliveries["pad-key" if config.scheme is Scheme.QOTP else "identity-key"]
+    _, signing, recovery = build_cipher(config.n, config.scheme, config.euler_mode, key,
+                                        np.random.default_rng(config.seed_lambda),
+                                        config.inject_lambdas)
     return (_pseudo_gates("initialize", config.n)
             + [(name, qubits) for name, qubits, _ in signing + recovery]
             + _pseudo_gates("measure", config.n))

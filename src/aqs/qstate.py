@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
+from . import gates, kernels
 from .errors import ConfigError
 
 NORM_ATOL = 1e-9
@@ -44,8 +44,7 @@ MAX_QUBITS = 25
 BLOCK_QUBITS = 4
 
 # Fills the gaps of a block whose run has no gate on some of its qubits.
-_IDENTITY = np.eye(2, dtype=np.complex128)
-_IDENTITY.setflags(write=False)
+_IDENTITY = gates.PAULIS["I"]
 
 # Amplitudes per partial sum of :func:`inner_product`: a power of two, so the
 # partial sums meet numpy's pairwise tree at its nodes.
@@ -148,19 +147,21 @@ def basis_state(n: int, label: int | str) -> StateVector:
 
 def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> StateVector:
     """Tensor product of per-qubit states (alpha, beta), qubit 0 first."""
-    if len(qubit_states) == 0:
+    n = len(qubit_states)
+    if n == 0:
         raise ConfigError("cannot build a product state of zero qubits")
-    _check_ceiling(len(qubit_states))
-    amps = np.array([1.0], dtype=np.complex128)
-    for i, (alpha, beta) in enumerate(qubit_states):
-        pair = np.array([alpha, beta], dtype=np.complex128)
-        a, b = pair.tolist()  # in plain floats, far cheaper than np.linalg.norm
+    _check_ceiling(n)
+    pairs = np.array(qubit_states, dtype=np.complex128)
+    # In plain floats, far cheaper than np.linalg.norm.
+    for i, (a, b) in enumerate(pairs.tolist()):
         norm = math.sqrt((a.real * a.real + b.real * b.real)
                          + (a.imag * a.imag + b.imag * b.imag))
         if not abs(norm - 1.0) <= NORM_ATOL:
             raise ConfigError(
                 f"qubit {i} amplitudes have norm {norm}, expected 1"
             )
+    amps = np.array([1.0], dtype=np.complex128)
+    for pair in pairs:
         # The same products as np.kron(amps, pair), with the same bytes on
         # either path. np.multiply.outer runs an inner loop of length 2: past
         # 64 amplitudes, writing each column in one pass is faster.
@@ -171,7 +172,7 @@ def init_product_state(qubit_states: Sequence[tuple[complex, complex]]) -> State
             np.multiply(amps, pair[0], out=out[:, 0])
             np.multiply(amps, pair[1], out=out[:, 1])
             amps = out.ravel()
-    return StateVector(len(qubit_states), _HandedOver(amps))
+    return StateVector(n, _HandedOver(amps))
 
 
 def _apply_run(amps: np.ndarray, n: int, run: dict[int, np.ndarray]) -> None:

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from aqs.attacks import (
     KNOWLEDGE_LEVELS,
     SIGMA_CLASSES,
     _GUESS_CHUNK,
+    _forged,
     _key_guesses,
+    _registration,
     apply_pauli_string,
     forgery_row,
     forgery_sweep,
@@ -26,7 +29,7 @@ from aqs.attacks import (
     reports_to_json,
     tamper_in_transit,
 )
-from aqs import keys, protocol
+from aqs import cipher, keys, protocol, qstate
 from aqs.attacks import SWEEP_ROWS
 from aqs.cipher import EulerMode, Scheme
 from aqs.errors import ConfigError
@@ -88,6 +91,69 @@ class TestPauliString:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError, match=r"pauli string length 3 != register size 2"):
             apply_pauli_string(basis_state(2, 0), "XYZ")
+
+
+class TestOpListForgery:
+    """_forged runs the Pauli string on each register as one op list; its bytes
+    must equal one gate application per letter, as apply_pauli_string makes."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("row", range(len(SWEEP_ROWS)))
+    def test_equals_per_letter_path(self, n, row):
+        scheme, mode = SWEEP_ROWS[row]
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        for seed in range(3):
+            rng = np.random.default_rng([n, row, seed])
+            deliveries, ctx, signing, _ = _registration(n, scheme, mode, rng)
+            message = MessageSpec.random_product(n, rng).prepare()
+            pkg = SignaturePackage(cipher.run(message, ctx, signing),
+                                   tag_of_bits(deliveries["identity-key"]), message)
+            for sigma in strings:
+                want = [apply_pauli_string(state, sigma).amps.tobytes()
+                        for state in (message, pkg.signature)]
+                for written in (sigma, sigma.lower()):
+                    forged = _forged(pkg, written)
+                    assert forged.tag == pkg.tag
+                    got = [forged.message.amps.tobytes(), forged.signature.amps.tobytes()]
+                    assert got == want, (seed, written)
+
+    @pytest.mark.parametrize("sigma,error", [
+        ("XY", r"pauli string length 2 != register size 3"),
+        ("XYZI", r"pauli string length 4 != register size 3"),
+        ("XQZ", r"unknown Pauli 'Q'"),
+        ("xi-", r"unknown Pauli '-'"),
+    ])
+    def test_pauli_forgery_refuses_bad_sigma(self, sigma, error):
+        session = forgery_session(3, Scheme.CHAINED_CU, 5)
+        with pytest.raises(ConfigError, match=error):
+            pauli_forgery(session, honest_package(session), sigma)
+
+
+class TestTrialStatePasses:
+    """A forgery trial signs, forges each register and recovers in one state
+    pass each: 4 apply_ops calls and 5 states (the message and each pass's
+    result) per trial, whatever the row and sigma class."""
+
+    @pytest.mark.parametrize("row", range(len(SWEEP_ROWS)))
+    @pytest.mark.parametrize("cls_index", range(len(SIGMA_CLASSES)))
+    def test_four_passes_per_trial(self, monkeypatch, row, cls_index):
+        counts = Counter()
+        apply_ops, post_init = qstate.apply_ops, StateVector.__post_init__
+
+        def counted_apply_ops(state, ops):
+            counts["apply_ops"] += 1
+            return apply_ops(state, ops)
+
+        def counted_post_init(self):
+            counts["states"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(qstate, "apply_ops", counted_apply_ops)
+        monkeypatch.setattr(StateVector, "__post_init__", counted_post_init)
+        trials = 3
+        report = forgery_row(4, trials, 7, row, cls_index)
+        assert report.trials == trials
+        assert counts == {"apply_ops": 4 * trials, "states": 5 * trials}
 
 
 class TestRandomPauliString:

@@ -20,7 +20,14 @@ from aqs import cipher, gates, reports
 from aqs.attacks import SWEEP_ROWS, apply_pauli_string
 from aqs.cipher import EulerMode, Scheme, inverse_ops, signature_ops
 from aqs.errors import AqsError, ConfigError
-from aqs.keys import chained_tag, tag_of_bits, xor_bits
+from aqs.keys import (
+    DeliveryLedger,
+    chained_tag,
+    derive_permutation,
+    random_bits,
+    tag_of_bits,
+    xor_bits,
+)
 from aqs.protocol import (
     EXACT_ACCEPT_THRESHOLD,
     KGC,
@@ -33,6 +40,7 @@ from aqs.protocol import (
     RunConfig,
     SignaturePackage,
     TamperSpec,
+    Transcript,
     VerifyMode,
     Wiring,
     _fingerprint,
@@ -472,6 +480,22 @@ class TestProtocolCore:
     """The core functions, on generators seeded from a config, give what the
     session does: its keys, its signature, its verdicts and recovered states."""
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_draw_keys_equals_one_draw_per_key(self, scheme):
+        # draw_keys cuts every key from one draw; the bits and the generator's
+        # state after must be those of one random_bits draw per key.
+        for n in (1, 2, 3, 4, 7, 16):
+            for seed in range(25):
+                for identity in (None, "10" * (n // 2) + "1" * (n % 2)):
+                    rng, ref = (np.random.default_rng([seed, n]) for _ in range(2))
+                    want = {"identity-key": identity or random_bits(n, ref)}
+                    if scheme is Scheme.QOTP:
+                        want["pad-key"] = random_bits(2 * n, ref)
+                    want["blind-key"] = random_bits(n, ref)
+                    got = draw_keys(n, scheme, rng, identity)
+                    assert list(got.items()) == list(want.items()), (n, seed, identity)
+                    assert rng.random() == ref.random()
+
     @pytest.mark.parametrize("wiring", list(Wiring))
     @pytest.mark.parametrize("verify_mode", list(VerifyMode))
     @pytest.mark.parametrize("scheme,mode", SWEEP_ROWS)
@@ -658,6 +682,43 @@ class TestHonestGateEvents:
                     assert events == ops, (n, seed, message.kind)
                     assert (reports.circuit_report_json(events)
                             == reports.circuit_report_json(ops))
+
+    @pytest.mark.parametrize("scheme,mode", SWEEP_ROWS)
+    def test_injected_key_and_lambdas(self, scheme, mode):
+        for n in range(1, 8):
+            rng = np.random.default_rng([n, 42])
+            key = "".join(str(b) for b in rng.integers(0, 2, size=n))
+            lambdas = tuple(rng.uniform(0.0, math.pi, size=n).tolist())
+            message = MessageSpec.random_product(n, rng)
+            for inject in ({"inject_key_bits": key}, {"inject_lambdas": lambdas},
+                           {"inject_key_bits": key, "inject_lambdas": lambdas}):
+                cfg = RunConfig(n=n, message=message, scheme=scheme, euler_mode=mode,
+                                seed_keys=n, seed_lambda=n + 1, **inject)
+                events = honest_gate_events(cfg)
+                assert events == run_protocol(cfg, sample_histogram=False).ops, (n, inject)
+                if scheme is not Scheme.QOTP and "inject_key_bits" in inject:
+                    # The chain follows the injected key; cnot's recovery
+                    # reruns it backwards under the same name.
+                    chain = [(j, t) for j, t in enumerate(derive_permutation(key)) if t != j]
+                    if scheme is Scheme.CHAINED_CU:
+                        assert [q for g, q in events if g == "cu"] == chain
+                    else:
+                        assert [q for g, q in events if g == "cnot"] == chain + chain[::-1]
+
+    def test_builds_no_session(self, monkeypatch):
+        configs = [RunConfig(n=5, message=MessageSpec.random_product(5, np.random.default_rng(i)),
+                             scheme=scheme, euler_mode=mode, seed_keys=i, seed_lambda=i + 3)
+                   for i, (scheme, mode) in enumerate(SWEEP_ROWS)]
+        want = [run_protocol(cfg, sample_histogram=False).ops for cfg in configs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("honest_gate_events built a protocol session object")
+
+        for cls in (ProtocolSession, Transcript, DeliveryLedger):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        with pytest.raises(AssertionError, match="session object"):
+            registered_session(configs[0])
+        assert [honest_gate_events(cfg) for cfg in configs] == want
 
 
 class TestRunProtocol:
