@@ -1,9 +1,10 @@
 """Executable adversary models: Pauli forgeries, impersonation, in-transit tampering.
 
-Forgery and impersonation trials call the protocol core and build no session
-or transcript. A forgery trial makes one state pass each to sign, to forge
-the message, to forge the signature and to recover: the Pauli string is one
-op list, run on each forged register by one :func:`aqs.qstate.apply_ops` call.
+Trials call the protocol's step functions, as a session does (``build_cipher``,
+``sign_package``, ``forward_package``, ``arbiter_decision``), and build no
+session or transcript. A forgery trial makes one state pass each to sign, to
+forge the message, to forge the signature and to recover: the Pauli string is
+one op list, run on each forged register by one :func:`aqs.qstate.apply_ops` call.
 
 Every experiment is deterministic per seed: trial t of sweep row r and sigma
 class c draws key, angle and shot seeds, its message and sigma from
@@ -24,9 +25,9 @@ from typing import Any
 
 import numpy as np
 
-from . import cipher, gates, keys, protocol, qstate
+from . import gates, keys, protocol, qstate
 from .cipher import EncryptionContext, EulerMode, Scheme
-from .errors import ConfigError
+from .errors import AqsError, ConfigError
 from .protocol import (
     MessageSpec,
     ProtocolSession,
@@ -200,6 +201,8 @@ def _forged(pkg: SignaturePackage, sigma: str) -> SignaturePackage:
     pass. X, Y and Z take the kernels' anti-diagonal and diagonal paths, so
     the bytes equal those of :func:`apply_pauli_string`.
     """
+    if pkg.message is None:
+        raise AqsError("the package carries no message register to forge")
     ops = _pauli_ops(sigma, pkg.signature.n)
     return SignaturePackage(
         message=qstate.apply_ops(pkg.message, ops),
@@ -221,18 +224,16 @@ def _registration(n: int, scheme: Scheme, euler_mode: EulerMode, rng: np.random.
     qstate._check_ceiling(n)
     seeds = rng.integers(0, 2 ** 31, size=3)
     deliveries = protocol.draw_keys(n, scheme, np.random.default_rng(int(seeds[0])))
-    key = deliveries["pad-key" if scheme is Scheme.QOTP else "identity-key"]
     return (deliveries, *protocol.build_cipher(
-        n, scheme, euler_mode, key, np.random.default_rng(int(seeds[1]))))
+        n, scheme, euler_mode, deliveries.__getitem__, np.random.default_rng(int(seeds[1]))))
 
 
 def _verdict(deliveries: dict[str, str], ctx: EncryptionContext, recovery: Circuit,
              pkg: SignaturePackage) -> VerificationOutcome:
-    """The arbiter's exact verdict on ``pkg`` once the verifier blinds its tag."""
+    """The arbiter's exact verdict on ``pkg`` once the verifier forwards it."""
     key, blind = deliveries["identity-key"], deliveries["blind-key"]
-    fwd = SignaturePackage(pkg.signature, keys.tag_of_bits(keys.xor_bits(pkg.tag, blind)),
-                           pkg.message)
-    return protocol.arbiter_decision(keys.chained_tag(key, blind), fwd, ctx, recovery)[0]
+    fwd = protocol.forward_package(pkg, blind, relay=True)
+    return protocol.arbiter_decision(key, blind, fwd, ctx, recovery)[0]
 
 
 SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (
@@ -268,8 +269,7 @@ def forgery_row(n: int, trials: int, seed: int, row: int, cls_index: int,
         rng = np.random.default_rng([seed, row, cls_index, t])
         deliveries, ctx, signing, recovery = _registration(n, scheme, mode, rng)
         message = MessageSpec.random_product(n, rng).prepare()
-        tag = keys.tag_of_bits(deliveries["identity-key"])
-        honest = SignaturePackage(cipher.run(message, ctx, signing), tag, message)
+        honest = protocol.sign_package(message, ctx, signing, deliveries["identity-key"])
         sigma = random_pauli_string(n, rng, sigma_class)
         out = _verdict(deliveries, ctx, recovery, _forged(honest, sigma))
         outcomes.append((out.accepted, out.overlap_sq))
@@ -319,7 +319,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     _check_seed(seed)
-    deliveries, ctx, _, recovery = _registration(
+    deliveries, ctx, signing, recovery = _registration(
         n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, np.random.default_rng([seed, 0]))
     true_key, blind_key = deliveries["identity-key"], deliveries["blind-key"]
 
@@ -336,10 +336,11 @@ def impersonation_attempt(n: int, trials: int, seed: int,
                             "overlap_sq": out.overlap_sq})
 
     if knowledge == "none":
-        # The gate on ints: H(H(g) xor blind) against H(H(K) xor blind).
-        blind = int(blind_key, 2)
-        target = int(keys.chained_tag(true_key, blind_key), 2)
+        # protocol.forward_package plus the arbiter's tag check, done on ints:
+        # H(H(g) xor B) against H(H(K) xor B). Only a passing guess is verified.
         tag = keys._tagger(n, n)
+        blind = int(blind_key, 2)
+        target = tag(tag(int(true_key, 2)) ^ blind)
         guesses = _key_guesses(n, trials, np.random.default_rng([seed, 1]))
         for t, guess in enumerate(guesses):
             inner = tag(guess)
@@ -358,14 +359,12 @@ def impersonation_attempt(n: int, trials: int, seed: int,
             # Knowledge of the key (and possibly the angles): a real signature.
             trial_rng = np.random.default_rng([seed, 1, t])
             message = MessageSpec.random_product(n, trial_rng).prepare()
-            signer_ctx = ctx
+            signer_ctx, signer_signing = ctx, signing
             if knowledge == "key":
-                signer_ctx = dc_replace(ctx, lambdas=keys.sample_lambda(n, trial_rng))
-            verify(t, SignaturePackage(
-                message=message,
-                signature=cipher.make_signature(message, signer_ctx),
-                tag=keys.tag_of_bits(true_key),
-            ))
+                # The true key under self-chosen angles, drawn from the trial's stream.
+                signer_ctx, signer_signing, _ = protocol.build_cipher(
+                    n, ctx.scheme, ctx.euler_mode, deliveries.__getitem__, trial_rng)
+            verify(t, protocol.sign_package(message, signer_ctx, signer_signing, true_key))
 
     return _aggregate(
         Scheme.CHAINED_CU.value, EulerMode.DIAGONAL.value,

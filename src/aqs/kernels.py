@@ -27,7 +27,7 @@ Full single-qubit gates on adjacent qubits can also be applied together.
 :func:`apply_block_inplace` builds the Kronecker product of ``k`` such gates,
 a ``2**k x 2**k`` matrix, and applies it as one ``matmul`` over the
 amplitudes viewed as ``(rows, 2**k, mask)``: a 2-D product when the block
-holds the first or the last qubits, a batched one only in between.
+holds the last qubits, a batched one otherwise.
 :func:`aqs.qstate.apply_ops` groups runs of gates whose path is ``FULL``
 into such blocks, so diagonal and anti-diagonal gates are never fused and keep
 the bytes of their own paths.
@@ -135,13 +135,10 @@ def apply_block_inplace(amps: np.ndarray, mask: int,
     d = block.shape[0]
     rows = amps.shape[0] // (d * mask)
     # A batched matmul over a (rows, d, 1) view would run ``rows`` tiny
-    # products, so the blocks at either end take one 2-D product.
+    # products, so the block at the low end takes one 2-D product.
     if mask == 1:
         view = amps.reshape(rows, d)
         view[...] = view @ block.T
-    elif rows == 1:
-        view = amps.reshape(d, mask)
-        view[...] = block @ view
     else:
         view = amps.reshape(rows, d, mask)
         view[...] = block @ view

@@ -12,8 +12,9 @@ Two wirings cover the message routing:
 * ``direct`` -- the signer hands the message register to the arbiter
   directly and the verifier forwards only signature and blinded tag.
 
-The verification math is identical in both. Plain functions compute each
-phase; :class:`ProtocolSession` calls them and logs.
+The verification math is identical in both. Each step is one plain function:
+:func:`draw_keys`, :func:`build_cipher`, :func:`sign_package`, :func:`forward_package`
+and :func:`arbiter_decision`; :class:`ProtocolSession` calls them and logs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -232,7 +233,8 @@ class SignatureProof:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one protocol run depends on; equal configs replay bit-exactly."""
+    """Everything one protocol run depends on; equal configs replay bit-exactly. A run
+    injecting a key or λ (``aqs demo``) replays only from a --reveal-secrets transcript."""
 
     n: int
     message: MessageSpec
@@ -423,12 +425,15 @@ def draw_keys(n: int, scheme: Scheme, rng: np.random.Generator,
     return deliveries
 
 
-def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode, key: str,
-                 rng: np.random.Generator, lambdas: tuple[float, ...] | None = None,
+def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode,
+                 key_of: Callable[[str], str], rng: np.random.Generator,
+                 lambdas: tuple[float, ...] | None = None,
                  ) -> tuple[EncryptionContext, Circuit, Circuit]:
-    """The registered cipher and its signing and recovery circuits, keyed by the
-    pad key under qotp, else the identity key; ``rng`` draws λ (unless given), θ, φ."""
+    """The registered cipher and its signing and recovery circuits, keyed by
+    ``key_of("pad-key")`` under qotp, else ``key_of("identity-key")``; ``rng``
+    draws λ (unless given), θ, φ."""
     qotp = scheme is Scheme.QOTP
+    key = key_of("pad-key" if qotp else "identity-key")
     if lambdas is None:
         lambdas = keys.sample_lambda(n, rng)
     thetas = phis = None
@@ -445,14 +450,28 @@ def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode, key: str,
     return ctx, signing, tuple(cipher.inverse_ops(signing))
 
 
-def arbiter_decision(expected_tag: str, fwd: SignaturePackage, ctx: EncryptionContext,
-                     recovery: Circuit, verify_mode: VerifyMode = VerifyMode.EXACT,
+def sign_package(message: StateVector, ctx: EncryptionContext, signing: Circuit,
+                 identity_key: str) -> SignaturePackage:
+    """The signer's step: the signature, the identity tag H(K) and the clear copy."""
+    return SignaturePackage(signature=cipher.run(message, ctx, signing),
+                            tag=keys.tag_of_bits(identity_key), message=message)
+
+
+def forward_package(pkg: SignaturePackage, blind_key: str, relay: bool) -> SignaturePackage:
+    """The verifier's step: the tag blinded to H(tag xor B), the message only on relay."""
+    blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, blind_key))
+    return SignaturePackage(pkg.signature, blinded, pkg.message if relay else None)
+
+
+def arbiter_decision(identity_key: str, blind_key: str, fwd: SignaturePackage,
+                     ctx: EncryptionContext, recovery: Circuit,
+                     verify_mode: VerifyMode = VerifyMode.EXACT,
                      swap_shots: int = qstate.SWAP_TEST_SHOTS,
                      rng: np.random.Generator | None = None,
                      ) -> tuple[VerificationOutcome, StateVector | None]:
-    """The arbiter's verdict on ``fwd`` and the state it recovers, which is
-    None on a hash-stage rejection. ``rng`` draws the sampled swap test."""
-    if fwd.tag != expected_tag:
+    """The arbiter's verdict on ``fwd``, whose tag must be H(H(K) xor B), and the
+    state it recovers (None on a hash-stage rejection); ``rng`` draws the swap test."""
+    if fwd.tag != keys.chained_tag(identity_key, blind_key):
         return VerificationOutcome(accepted=False, stage="hash-check"), None
     if fwd.message is None:
         raise AqsError("no message register available: direct wiring forwards none "
@@ -517,10 +536,9 @@ class ProtocolSession:
         if f"signer_{index}" != SIGNER:
             raise AqsError(f"no signer {index} in this session")
         cfg = self.config
-        key = self.ledger.lookup(
-            SIGNER, "pad-key" if cfg.scheme is Scheme.QOTP else "identity-key")
-        ctx, signing, recovery = build_cipher(cfg.n, cfg.scheme, cfg.euler_mode, key,
-                                              self._rng_lambda, cfg.inject_lambdas)
+        ctx, signing, recovery = build_cipher(
+            cfg.n, cfg.scheme, cfg.euler_mode, lambda p: self.ledger.lookup(SIGNER, p),
+            self._rng_lambda, cfg.inject_lambdas)
         self._ctx, self._circuits = ctx, (signing, recovery)
         payload: dict[str, Any] = {"lambdas": list(ctx.lambdas), "count": cfg.n}
         if cfg.euler_mode is EulerMode.GENERAL:
@@ -539,12 +557,11 @@ class ProtocolSession:
     # -- phase 3: signing
 
     def sign(self, message: StateVector) -> SignaturePackage:
-        tag = keys.tag_of_bits(self.ledger.lookup(SIGNER, "identity-key"))
+        key = self.ledger.lookup(SIGNER, "identity-key")
         ctx = self.context_for()
-        signature = cipher.run(message, ctx, self._circuits[0])
+        pkg = sign_package(message, ctx, self._circuits[0], key)
         self._log_phase(SIGNER, ctx, self._circuits[0])
-        return self._send("package", SIGNER, VERIFIER, SignaturePackage(
-            message=message, signature=signature, tag=tag))
+        return self._send("package", SIGNER, VERIFIER, pkg)
 
     def _send(self, kind: str, frm: str, to: str,
               pkg: SignaturePackage) -> SignaturePackage:
@@ -596,22 +613,20 @@ class ProtocolSession:
 
     def verifier_forward(self, pkg: SignaturePackage) -> SignaturePackage:
         blind = self.ledger.lookup(VERIFIER, "blind-key")
-        blinded = keys.tag_of_bits(keys.xor_bits(pkg.tag, blind))
-        message = pkg.message if self.config.wiring is Wiring.RELAY else None
-        return self._send("forward", VERIFIER, KGC, SignaturePackage(
-            signature=pkg.signature, tag=blinded, message=message))
+        return self._send("forward", VERIFIER, KGC, forward_package(
+            pkg, blind, self.config.wiring is Wiring.RELAY))
 
     # -- phase 4b: arbiter verification
 
     def kgc_verify(self, fwd: SignaturePackage) -> VerificationOutcome:
         cfg = self.config
-        expected = keys.chained_tag(self.ledger.lookup(SIGNER, "identity-key"),
-                                    self.ledger.lookup(VERIFIER, "blind-key"))
+        key = self.ledger.lookup(SIGNER, "identity-key")
+        blind = self.ledger.lookup(VERIFIER, "blind-key")
         ctx = self.context_for()
         if fwd.message is None:
             fwd = dataclasses.replace(fwd, message=self._direct_message)
         outcome, recovered = arbiter_decision(
-            expected, fwd, ctx, self._circuits[1], cfg.verify_mode, cfg.swap_shots,
+            key, blind, fwd, ctx, self._circuits[1], cfg.verify_mode, cfg.swap_shots,
             self.shots_rng)
         if recovered is not None:
             self._last_recovered = recovered
@@ -689,8 +704,8 @@ def _intercept(session: ProtocolSession, package: SignaturePackage, channel: str
 def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolResult:
     """Execute setup, angle registration, signing, forwarding and verification.
 
-    Returns the full result bundle; the transcript alone suffices to replay
-    the run (it embeds the config and all seeds).
+    Returns the full result bundle; the transcript alone replays the run (it
+    embeds the config and all seeds) unless it redacts injected material.
     """
     session = registered_session(config)
 
@@ -740,10 +755,9 @@ def honest_gate_events(config: RunConfig) -> OpList:
     logged."""
     deliveries = draw_keys(config.n, config.scheme,
                            np.random.default_rng(config.seed_keys), config.inject_key_bits)
-    key = deliveries["pad-key" if config.scheme is Scheme.QOTP else "identity-key"]
-    _, signing, recovery = build_cipher(config.n, config.scheme, config.euler_mode, key,
-                                        np.random.default_rng(config.seed_lambda),
-                                        config.inject_lambdas)
+    _, signing, recovery = build_cipher(
+        config.n, config.scheme, config.euler_mode, deliveries.__getitem__,
+        np.random.default_rng(config.seed_lambda), config.inject_lambdas)
     return (_pseudo_gates("initialize", config.n)
             + [(name, qubits) for name, qubits, _ in signing + recovery]
             + _pseudo_gates("measure", config.n))

@@ -29,10 +29,10 @@ from aqs.attacks import (
     reports_to_json,
     tamper_in_transit,
 )
-from aqs import cipher, keys, protocol, qstate
+from aqs import keys, protocol, qstate
 from aqs.attacks import SWEEP_ROWS
 from aqs.cipher import EulerMode, Scheme
-from aqs.errors import ConfigError
+from aqs.errors import AqsError, ConfigError
 from aqs.keys import chained_tag, random_bits, tag_of_bits
 from aqs.protocol import (
     EXACT_ACCEPT_THRESHOLD,
@@ -106,8 +106,7 @@ class TestOpListForgery:
             rng = np.random.default_rng([n, row, seed])
             deliveries, ctx, signing, _ = _registration(n, scheme, mode, rng)
             message = MessageSpec.random_product(n, rng).prepare()
-            pkg = SignaturePackage(cipher.run(message, ctx, signing),
-                                   tag_of_bits(deliveries["identity-key"]), message)
+            pkg = protocol.sign_package(message, ctx, signing, deliveries["identity-key"])
             for sigma in strings:
                 want = [apply_pauli_string(state, sigma).amps.tobytes()
                         for state in (message, pkg.signature)]
@@ -127,6 +126,23 @@ class TestOpListForgery:
         session = forgery_session(3, Scheme.CHAINED_CU, 5)
         with pytest.raises(ConfigError, match=error):
             pauli_forgery(session, honest_package(session), sigma)
+
+    def test_pauli_forgery_refuses_a_package_without_message(self, monkeypatch):
+        # The gap arbiter_decision names, refused before any state pass or event.
+        session = forgery_session(3, Scheme.CHAINED_CU, 5)
+        pkg = honest_package(session)
+        bare = SignaturePackage(pkg.signature, pkg.tag)
+        events = len(session.transcript.events)
+
+        def refuse(*args):
+            raise AssertionError("state pass on a package without a message")
+
+        monkeypatch.setattr(qstate, "apply_ops", refuse)
+        with pytest.raises(AqsError, match=r"no message register"):
+            pauli_forgery(session, bare, "XYZ")
+        with pytest.raises(AqsError, match=r"no message register"):
+            _forged(bare, "XII")
+        assert len(session.transcript.events) == events
 
 
 class TestTrialStatePasses:

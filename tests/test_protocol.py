@@ -47,9 +47,11 @@ from aqs.protocol import (
     arbiter_decision,
     build_cipher,
     draw_keys,
+    forward_package,
     honest_gate_events,
     registered_session,
     run_protocol,
+    sign_package,
 )
 from aqs.qstate import StateVector, basis_state, overlap_sq
 
@@ -496,42 +498,58 @@ class TestProtocolCore:
                     assert list(got.items()) == list(want.items()), (n, seed, identity)
                     assert rng.random() == ref.random()
 
+    @pytest.mark.parametrize("inject", ["none", "key", "lambdas", "key-and-lambdas"])
     @pytest.mark.parametrize("wiring", list(Wiring))
     @pytest.mark.parametrize("verify_mode", list(VerifyMode))
     @pytest.mark.parametrize("scheme,mode", SWEEP_ROWS)
-    def test_arbiter_decision_matches_kgc_verify(self, scheme, mode, verify_mode, wiring):
+    def test_arbiter_decision_matches_kgc_verify(self, scheme, mode, verify_mode, wiring,
+                                                 inject):
+        # Each session phase is ledger lookups, one core step and its logging: the
+        # steps on generators seeded from the config give the session's package,
+        # forward, verdict and recovered state, with injected material too (under
+        # qotp the pad key is drawn after an injected identity key).
         n = 4
         for seed, case in itertools.product(range(3), ("honest", "signature-x", "tag-flip")):
+            rng = np.random.default_rng([7, seed])
             cfg = RunConfig(
-                n=n, message=MessageSpec.random_product(n, np.random.default_rng([7, seed])),
+                n=n, message=MessageSpec.random_product(n, rng),
                 scheme=scheme, euler_mode=mode, wiring=wiring, verify_mode=verify_mode,
                 seed_keys=seed, seed_lambda=seed + 10, seed_shots=seed + 20, swap_shots=64,
+                inject_key_bits=random_bits(n, rng) if "key" in inject else None,
+                inject_lambdas=(tuple(rng.uniform(0, math.pi, n))
+                                if "lambdas" in inject else None),
             )
-            deliveries = draw_keys(n, scheme, np.random.default_rng(cfg.seed_keys))
-            key = deliveries["pad-key" if scheme is Scheme.QOTP else "identity-key"]
-            ctx, signing, recovery = build_cipher(n, scheme, mode, key,
-                                                  np.random.default_rng(cfg.seed_lambda))
+            deliveries = draw_keys(n, scheme, np.random.default_rng(cfg.seed_keys),
+                                   cfg.inject_key_bits)
+            ctx, signing, recovery = build_cipher(
+                n, scheme, mode, deliveries.__getitem__,
+                np.random.default_rng(cfg.seed_lambda), cfg.inject_lambdas)
+            key, blind = deliveries["identity-key"], deliveries["blind-key"]
             session = registered_session(cfg)
-            assert delivered_keys(session) == (deliveries["identity-key"],
-                                               deliveries["blind-key"])
+            assert delivered_keys(session) == (key, blind)
+            assert session._ctx == ctx
             message = cfg.message.prepare()
-            pkg = session.sign(message)
-            assert pkg.signature.amps.tobytes() == \
-                cipher.run(message, ctx, signing).amps.tobytes()
+            pkg = sign_package(message, ctx, signing, key)
+            fwd = forward_package(pkg, blind, wiring is Wiring.RELAY)
+            got_pkg = session.sign(message)
             if wiring is Wiring.DIRECT:
                 session.send_message_direct(message)
-            fwd = session.verifier_forward(pkg)
+            got_fwd = session.verifier_forward(got_pkg)
+            for got_step, want_step in ((got_pkg, pkg), (got_fwd, fwd)):
+                assert got_step.tag == want_step.tag
+                assert got_step.signature.amps.tobytes() == want_step.signature.amps.tobytes()
+                assert got_step.message is want_step.message
+            assert (fwd.message is None) == (wiring is Wiring.DIRECT)
             if case == "signature-x":
-                fwd = dataclasses.replace(
-                    fwd, signature=apply_pauli_string(fwd.signature, "XIII"))
+                got_fwd = dataclasses.replace(
+                    got_fwd, signature=apply_pauli_string(got_fwd.signature, "XIII"))
             elif case == "tag-flip":
-                fwd = dataclasses.replace(
-                    fwd, tag=("1" if fwd.tag[0] == "0" else "0") + fwd.tag[1:])
+                got_fwd = dataclasses.replace(
+                    got_fwd, tag=("1" if got_fwd.tag[0] == "0" else "0") + got_fwd.tag[1:])
 
-            got = session.kgc_verify(fwd)
+            got = session.kgc_verify(got_fwd)
             want, recovered = arbiter_decision(
-                chained_tag(deliveries["identity-key"], deliveries["blind-key"]),
-                dataclasses.replace(fwd, message=message), ctx, recovery,
+                key, blind, dataclasses.replace(got_fwd, message=message), ctx, recovery,
                 verify_mode, cfg.swap_shots, np.random.default_rng(cfg.seed_shots))
             assert got.to_payload() == want.to_payload()
             assert (got.stage == "hash-check") == (case == "tag-flip")
