@@ -2,7 +2,8 @@
 
 Trials call the protocol's step functions, as a session does (``build_cipher``,
 ``sign_package``, ``forward_package``, ``arbiter_decision``), and build no
-session or transcript. A forgery trial makes one state pass each to sign, to
+session or transcript; the registered context carries its own signing and
+recovery circuits. A forgery trial makes one state pass each to sign, to
 forge the message, to forge the signature and to recover: the Pauli string is
 one op list, run on each forged register by one :func:`aqs.qstate.apply_ops` call.
 
@@ -38,7 +39,7 @@ from .protocol import (
     _check_seed,
     run_protocol,
 )
-from .qstate import Circuit, Op, StateVector
+from .qstate import Op, StateVector
 
 PAULI_LETTERS = "IXYZ"
 
@@ -218,22 +219,22 @@ def pauli_forgery(session: ProtocolSession, pkg: SignaturePackage,
 
 
 def _registration(n: int, scheme: Scheme, euler_mode: EulerMode, rng: np.random.Generator,
-                  ) -> tuple[dict[str, str], EncryptionContext, Circuit, Circuit]:
-    """The KGC's deliveries and the registered cipher and circuits, with no session,
-    from the first two of the key, angle and shot seeds that ``rng`` draws."""
+                  ) -> tuple[dict[str, str], EncryptionContext]:
+    """The KGC's deliveries and the registered cipher, with no session, from
+    the first two of the key, angle and shot seeds that ``rng`` draws."""
     qstate._check_ceiling(n)
     seeds = rng.integers(0, 2 ** 31, size=3)
     deliveries = protocol.draw_keys(n, scheme, np.random.default_rng(int(seeds[0])))
-    return (deliveries, *protocol.build_cipher(
-        n, scheme, euler_mode, deliveries.__getitem__, np.random.default_rng(int(seeds[1]))))
+    return deliveries, protocol.build_cipher(
+        n, scheme, euler_mode, deliveries.__getitem__, np.random.default_rng(int(seeds[1])))
 
 
-def _verdict(deliveries: dict[str, str], ctx: EncryptionContext, recovery: Circuit,
+def _verdict(deliveries: dict[str, str], ctx: EncryptionContext,
              pkg: SignaturePackage) -> VerificationOutcome:
     """The arbiter's exact verdict on ``pkg`` once the verifier forwards it."""
     key, blind = deliveries["identity-key"], deliveries["blind-key"]
     fwd = protocol.forward_package(pkg, blind, relay=True)
-    return protocol.arbiter_decision(key, blind, fwd, ctx, recovery)[0]
+    return protocol.arbiter_decision(key, blind, fwd, ctx)[0]
 
 
 SWEEP_ROWS: tuple[tuple[Scheme, EulerMode], ...] = (
@@ -267,11 +268,11 @@ def forgery_row(n: int, trials: int, seed: int, row: int, cls_index: int,
     details: list[dict[str, Any]] = []
     for t in range(trials):
         rng = np.random.default_rng([seed, row, cls_index, t])
-        deliveries, ctx, signing, recovery = _registration(n, scheme, mode, rng)
+        deliveries, ctx = _registration(n, scheme, mode, rng)
         message = MessageSpec.random_product(n, rng).prepare()
-        honest = protocol.sign_package(message, ctx, signing, deliveries["identity-key"])
+        honest = protocol.sign_package(message, ctx, deliveries["identity-key"])
         sigma = random_pauli_string(n, rng, sigma_class)
-        out = _verdict(deliveries, ctx, recovery, _forged(honest, sigma))
+        out = _verdict(deliveries, ctx, _forged(honest, sigma))
         outcomes.append((out.accepted, out.overlap_sq))
         if collect_details:
             details.append({"trial": t, "sigma": sigma, "accepted": out.accepted,
@@ -319,7 +320,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     _check_seed(seed)
-    deliveries, ctx, signing, recovery = _registration(
+    deliveries, ctx = _registration(
         n, Scheme.CHAINED_CU, EulerMode.DIAGONAL, np.random.default_rng([seed, 0]))
     true_key, blind_key = deliveries["identity-key"], deliveries["blind-key"]
 
@@ -329,7 +330,7 @@ def impersonation_attempt(n: int, trials: int, seed: int,
     details: list[dict[str, Any]] = []
 
     def verify(t: int, pkg: SignaturePackage) -> None:
-        out = _verdict(deliveries, ctx, recovery, pkg)
+        out = _verdict(deliveries, ctx, pkg)
         outcomes.append((out.accepted, out.overlap_sq))
         if collect_details:
             details.append({"trial": t, "hash_pass": True, "accepted": out.accepted,
@@ -359,12 +360,12 @@ def impersonation_attempt(n: int, trials: int, seed: int,
             # Knowledge of the key (and possibly the angles): a real signature.
             trial_rng = np.random.default_rng([seed, 1, t])
             message = MessageSpec.random_product(n, trial_rng).prepare()
-            signer_ctx, signer_signing = ctx, signing
+            signer_ctx = ctx
             if knowledge == "key":
                 # The true key under self-chosen angles, drawn from the trial's stream.
-                signer_ctx, signer_signing, _ = protocol.build_cipher(
+                signer_ctx = protocol.build_cipher(
                     n, ctx.scheme, ctx.euler_mode, deliveries.__getitem__, trial_rng)
-            verify(t, protocol.sign_package(message, signer_ctx, signer_signing, true_key))
+            verify(t, protocol.sign_package(message, signer_ctx, true_key))
 
     return _aggregate(
         Scheme.CHAINED_CU.value, EulerMode.DIAGONAL.value,

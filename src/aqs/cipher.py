@@ -24,8 +24,10 @@ names stay, as those gates are their own inverses). :func:`run` runs any
 such list on a state of the context's size.
 
 Every matrix in these lists is read-only, so a list can be built once and run
-many times, as a protocol session does. Entries that share a gate share one
-matrix, and :func:`inverse_ops` takes its adjoint once.
+many times. Entries that share a gate share one matrix, and :func:`inverse_ops`
+takes its adjoint once. A context owns its protocol circuits, ``signing``
+(:func:`signature_ops`) and ``recovery`` (its inverse), each built on first use
+and kept; a context made by ``dataclasses.replace`` builds its own.
 """
 
 from __future__ import annotations
@@ -33,13 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import gates, qstate
 from .errors import ConfigError
-from .qstate import Op, StateVector
+from .qstate import Circuit, Op, StateVector
 
 
 class Scheme(str, Enum):
@@ -131,6 +134,16 @@ class EncryptionContext:
             raise ConfigError(f"scheme {self.scheme.value} has no rotation angles")
         return gates.u_gate(self.thetas[j], self.phis[j], self.lambdas[j])
 
+    @cached_property
+    def signing(self) -> Circuit:
+        """The signer's circuit, :func:`signature_ops`, built on first use."""
+        return tuple(signature_ops(self))
+
+    @cached_property
+    def recovery(self) -> Circuit:
+        """The arbiter's circuit, the inverse of :attr:`signing`, built on first use."""
+        return tuple(inverse_ops(self.signing))
+
 
 # -- op lists -----------------------------------------------------------------------
 
@@ -219,4 +232,4 @@ def make_signature(message: StateVector, ctx: EncryptionContext) -> StateVector:
     The cu scheme stacks the per-qubit signing rotation on top of the
     chained encryption; the baseline schemes sign by encryption alone.
     """
-    return run(message, ctx, signature_ops(ctx))
+    return run(message, ctx, ctx.signing)

@@ -14,7 +14,9 @@ Two wirings cover the message routing:
 
 The verification math is identical in both. Each step is one plain function:
 :func:`draw_keys`, :func:`build_cipher`, :func:`sign_package`, :func:`forward_package`
-and :func:`arbiter_decision`; :class:`ProtocolSession` calls them and logs.
+and :func:`arbiter_decision`; :class:`ProtocolSession` calls them and logs. The
+registered cipher is one :class:`~aqs.cipher.EncryptionContext`: the signer and
+the arbiter run its own ``signing`` and ``recovery`` circuits.
 """
 
 from __future__ import annotations
@@ -427,11 +429,9 @@ def draw_keys(n: int, scheme: Scheme, rng: np.random.Generator,
 
 def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode,
                  key_of: Callable[[str], str], rng: np.random.Generator,
-                 lambdas: tuple[float, ...] | None = None,
-                 ) -> tuple[EncryptionContext, Circuit, Circuit]:
-    """The registered cipher and its signing and recovery circuits, keyed by
-    ``key_of("pad-key")`` under qotp, else ``key_of("identity-key")``; ``rng``
-    draws λ (unless given), θ, φ."""
+                 lambdas: tuple[float, ...] | None = None) -> EncryptionContext:
+    """The registered cipher, keyed by ``key_of("pad-key")`` under qotp, else
+    ``key_of("identity-key")``; ``rng`` draws λ (unless given), θ, φ."""
     qotp = scheme is Scheme.QOTP
     key = key_of("pad-key" if qotp else "identity-key")
     if lambdas is None:
@@ -440,20 +440,18 @@ def build_cipher(n: int, scheme: Scheme, euler_mode: EulerMode,
     if euler_mode is EulerMode.GENERAL:
         thetas = tuple(rng.uniform(0, math.pi, n).tolist())
         phis = tuple(rng.uniform(0, 2 * math.pi, n).tolist())
-    ctx = EncryptionContext(
+    return EncryptionContext(
         scheme=scheme, n=n,
         perm=None if qotp else keys.derive_permutation(key),
         qotp_key=key if qotp else None,
         lambdas=lambdas, thetas=thetas, phis=phis, euler_mode=euler_mode,
     )
-    signing = tuple(cipher.signature_ops(ctx))
-    return ctx, signing, tuple(cipher.inverse_ops(signing))
 
 
-def sign_package(message: StateVector, ctx: EncryptionContext, signing: Circuit,
+def sign_package(message: StateVector, ctx: EncryptionContext,
                  identity_key: str) -> SignaturePackage:
     """The signer's step: the signature, the identity tag H(K) and the clear copy."""
-    return SignaturePackage(signature=cipher.run(message, ctx, signing),
+    return SignaturePackage(signature=cipher.run(message, ctx, ctx.signing),
                             tag=keys.tag_of_bits(identity_key), message=message)
 
 
@@ -464,7 +462,7 @@ def forward_package(pkg: SignaturePackage, blind_key: str, relay: bool) -> Signa
 
 
 def arbiter_decision(identity_key: str, blind_key: str, fwd: SignaturePackage,
-                     ctx: EncryptionContext, recovery: Circuit,
+                     ctx: EncryptionContext,
                      verify_mode: VerifyMode = VerifyMode.EXACT,
                      swap_shots: int = qstate.SWAP_TEST_SHOTS,
                      rng: np.random.Generator | None = None,
@@ -476,7 +474,7 @@ def arbiter_decision(identity_key: str, blind_key: str, fwd: SignaturePackage,
     if fwd.message is None:
         raise AqsError("no message register available: direct wiring forwards none "
                        "and the signer sent nothing directly")
-    recovered = cipher.run(fwd.signature, ctx, recovery)
+    recovered = cipher.run(fwd.signature, ctx, ctx.recovery)
     ov = qstate.overlap_sq(recovered, fwd.message)
     pass_probability = qstate.swap_test_pass_probability(ov)
     if verify_mode is VerifyMode.SAMPLED:
@@ -512,7 +510,6 @@ class ProtocolSession:
         self.shots_rng = np.random.default_rng(config.seed_shots)
         # Built at angle registration, by build_cipher.
         self._ctx: EncryptionContext | None = None
-        self._circuits: tuple[Circuit, Circuit] = ((), ())
         self._proof: SignatureProof | None = None
         self._direct_message: StateVector | None = None
         self._last_recovered: StateVector | None = None
@@ -536,10 +533,9 @@ class ProtocolSession:
         if f"signer_{index}" != SIGNER:
             raise AqsError(f"no signer {index} in this session")
         cfg = self.config
-        ctx, signing, recovery = build_cipher(
+        ctx = self._ctx = build_cipher(
             cfg.n, cfg.scheme, cfg.euler_mode, lambda p: self.ledger.lookup(SIGNER, p),
             self._rng_lambda, cfg.inject_lambdas)
-        self._ctx, self._circuits = ctx, (signing, recovery)
         payload: dict[str, Any] = {"lambdas": list(ctx.lambdas), "count": cfg.n}
         if cfg.euler_mode is EulerMode.GENERAL:
             payload["thetas"] = list(ctx.thetas)
@@ -559,8 +555,8 @@ class ProtocolSession:
     def sign(self, message: StateVector) -> SignaturePackage:
         key = self.ledger.lookup(SIGNER, "identity-key")
         ctx = self.context_for()
-        pkg = sign_package(message, ctx, self._circuits[0], key)
-        self._log_phase(SIGNER, ctx, self._circuits[0])
+        pkg = sign_package(message, ctx, key)
+        self._log_phase(SIGNER, ctx, ctx.signing)
         return self._send("package", SIGNER, VERIFIER, pkg)
 
     def _send(self, kind: str, frm: str, to: str,
@@ -626,11 +622,10 @@ class ProtocolSession:
         if fwd.message is None:
             fwd = dataclasses.replace(fwd, message=self._direct_message)
         outcome, recovered = arbiter_decision(
-            key, blind, fwd, ctx, self._circuits[1], cfg.verify_mode, cfg.swap_shots,
-            self.shots_rng)
+            key, blind, fwd, ctx, cfg.verify_mode, cfg.swap_shots, self.shots_rng)
         if recovered is not None:
             self._last_recovered = recovered
-            self._log_phase(KGC, ctx, self._circuits[1])
+            self._log_phase(KGC, ctx, ctx.recovery)
         if outcome.accepted:
             proof = SignatureProof(signer=SIGNER, lambdas=ctx.lambdas, tag=fwd.tag)
             self._proof = proof
@@ -750,14 +745,14 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
 
 def honest_gate_events(config: RunConfig) -> OpList:
     """The gate events :func:`run_protocol` logs for an honest run of ``config``
-    (no tamper), read from the circuits that angle registration builds, drawn
-    from the same seeds with no session: no state is prepared and nothing is
-    logged."""
+    (no tamper), read from the circuits of the cipher that angle registration
+    builds, drawn from the same seeds with no session: no state is prepared and
+    nothing is logged."""
     deliveries = draw_keys(config.n, config.scheme,
                            np.random.default_rng(config.seed_keys), config.inject_key_bits)
-    _, signing, recovery = build_cipher(
+    ctx = build_cipher(
         config.n, config.scheme, config.euler_mode, deliveries.__getitem__,
         np.random.default_rng(config.seed_lambda), config.inject_lambdas)
     return (_pseudo_gates("initialize", config.n)
-            + [(name, qubits) for name, qubits, _ in signing + recovery]
+            + [(name, qubits) for name, qubits, _ in ctx.signing + ctx.recovery]
             + _pseudo_gates("measure", config.n))

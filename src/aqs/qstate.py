@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -323,7 +324,13 @@ class ShotHistogram:
                     f"row {row!r}: count {value!r} is not an integer "
                     "in ASCII decimal digits"
                 )
-            counts[label] = int(value)
+            try:
+                counts[label] = int(value)
+            except ValueError:  # past Python's integer string conversion limit
+                raise ConfigError(
+                    f"basis label {label!r}: count has {len(digits)} digits, more than "
+                    f"the {sys.get_int_max_str_digits()} that int() reads"
+                ) from None
             if counts[label] < 0:
                 raise ConfigError(f"basis label {label!r} has a negative count")
         if not counts:

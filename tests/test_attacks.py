@@ -29,7 +29,7 @@ from aqs.attacks import (
     reports_to_json,
     tamper_in_transit,
 )
-from aqs import keys, protocol, qstate
+from aqs import cipher, keys, protocol, qstate
 from aqs.attacks import SWEEP_ROWS
 from aqs.cipher import EulerMode, Scheme
 from aqs.errors import AqsError, ConfigError
@@ -104,9 +104,9 @@ class TestOpListForgery:
         strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
         for seed in range(3):
             rng = np.random.default_rng([n, row, seed])
-            deliveries, ctx, signing, _ = _registration(n, scheme, mode, rng)
+            deliveries, ctx = _registration(n, scheme, mode, rng)
             message = MessageSpec.random_product(n, rng).prepare()
-            pkg = protocol.sign_package(message, ctx, signing, deliveries["identity-key"])
+            pkg = protocol.sign_package(message, ctx, deliveries["identity-key"])
             for sigma in strings:
                 want = [apply_pauli_string(state, sigma).amps.tobytes()
                         for state in (message, pkg.signature)]
@@ -310,6 +310,16 @@ class TestImpersonation:
         report = impersonation_attempt(n=6, trials=5, seed=12, knowledge="key")
         assert report.hash_pass_count == 5  # the true key always clears the hash
         assert report.accept_count == 0
+
+    def test_key_level_inverts_only_the_registered_cipher(self, monkeypatch):
+        # Each trial signs under its own angles, and the arbiter recovers
+        # under the registered ones: one recovery circuit for the whole call.
+        calls = []
+        real = cipher.inverse_ops
+        monkeypatch.setattr(cipher, "inverse_ops", lambda ops: calls.append(1) or real(ops))
+        report = impersonation_attempt(6, 5, 12, "key")
+        assert report.hash_pass_count == 5
+        assert len(calls) == 1
 
     def test_full_knowledge_reduces_to_honest(self):
         report = impersonation_attempt(n=6, trials=3, seed=13,

@@ -379,6 +379,39 @@ class TestSharedMatrices:
                 gate[0, 0] = 2.0
 
 
+class TestContextCircuits:
+    """A context builds its signing and recovery circuits on first use and keeps
+    them; a context made by dataclasses.replace builds its own."""
+
+    @pytest.mark.parametrize("ctx", ALL_SCHEME_CONTEXTS, ids=lambda c: c.scheme.value)
+    def test_circuits_are_kept_read_only_tuples(self, ctx):
+        ctx = dataclasses.replace(ctx)  # an equal context with no circuits yet
+        assert ctx.signing is ctx.signing and ctx.recovery is ctx.recovery
+        want_signing = signature_ops(ctx)
+        for got, want in ((ctx.signing, want_signing),
+                          (ctx.recovery, inverse_ops(want_signing))):
+            assert isinstance(got, tuple)
+            assert gate_events(got) == gate_events(want)
+            for (_, _, gate), (_, _, expected) in zip(got, want):
+                np.testing.assert_array_equal(gate, expected)
+                with pytest.raises(ValueError, match="read-only"):
+                    gate[0, 0] = 2.0
+
+    @pytest.mark.parametrize("mode", list(EulerMode))
+    def test_replace_builds_the_new_angles_circuits(self, mode):
+        ctx = cu_ctx(5, 95, mode)
+        old = (ctx.signing, ctx.recovery)
+        other = dataclasses.replace(ctx, lambdas=tuple(lam + 0.5 for lam in ctx.lambdas))
+        want_signing = signature_ops(other)
+        for got, want, stale in ((other.signing, want_signing, old[0]),
+                                 (other.recovery, inverse_ops(want_signing), old[1])):
+            assert gate_events(got) == gate_events(want) == gate_events(stale)
+            for (_, _, gate), (_, _, expected), (_, _, old_gate) in zip(got, want, stale):
+                np.testing.assert_array_equal(gate, expected)
+                assert not np.array_equal(gate, old_gate)
+        assert (ctx.signing, ctx.recovery) == old
+
+
 class TestDiagonalInvariance:
     def test_diagonal_layers_preserve_distribution(self):
         # theta = phi = 0 makes every gate diagonal, so basis probabilities

@@ -232,8 +232,10 @@ class TestRun:
         ("0110,5,7\n", "'0110,5,7' has 3 fields"),
         (",5\n", "basis label '' is not a bit string"),
         ("0110,abc\n", "count 'abc' is not an integer"),
+        # Past int()'s 4,300-digit limit for decimal strings.
+        ("0000," + "1" * 5000 + "\n", "count has 5000 digits"),
     ], ids=["all-zero", "negative", "duplicate", "extra-field", "empty-label",
-            "non-integer"])
+            "non-integer", "too-many-digits"])
     def test_bad_compare_csv_exits_2(self, tmp_path, capsys, rows, reason):
         path = tmp_path / "h.csv"
         path.write_text("basis_label,count\n" + rows)
@@ -566,7 +568,11 @@ class TestInputProperties:
             st.tuples(
                 st.one_of(st.text("01", min_size=4, max_size=4),
                           st.text(max_size=5)),
-                st.one_of(st.integers(-3, 10 ** 20).map(str), st.text(max_size=4)),
+                st.one_of(st.integers(-3, 10 ** 20).map(str), st.text(max_size=4),
+                          # Longer than int()'s 4,300-digit limit for decimal strings.
+                          st.builds(lambda digit, k: digit * k,
+                                    st.sampled_from("0123456789"),
+                                    st.integers(4301, 6000))),
             ).map(",".join),
             max_size=8,
         ).map(lambda rows: "\n".join(["basis_label,count", *rows]).encode()),

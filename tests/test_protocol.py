@@ -252,12 +252,14 @@ class TestSetup:
         cfg = plain_config(scheme=scheme)
         session = registered_session(cfg)
         before = delivered_keys(session)
-        ctx, circuits = session._ctx, session._circuits
+        ctx = session._ctx
+        signing, recovery = ctx.signing, ctx.recovery
         events = len(session.transcript.events)
         with pytest.raises(AqsError, match=r"'identity-key' already delivered"):
             session.setup()
         assert delivered_keys(session) == before
-        assert session._ctx is ctx and session._circuits is circuits
+        assert session._ctx is ctx
+        assert session._ctx.signing is signing and session._ctx.recovery is recovery
         assert len(session.transcript.events) == events
         pkg = session.sign(cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
@@ -521,7 +523,7 @@ class TestProtocolCore:
             )
             deliveries = draw_keys(n, scheme, np.random.default_rng(cfg.seed_keys),
                                    cfg.inject_key_bits)
-            ctx, signing, recovery = build_cipher(
+            ctx = build_cipher(
                 n, scheme, mode, deliveries.__getitem__,
                 np.random.default_rng(cfg.seed_lambda), cfg.inject_lambdas)
             key, blind = deliveries["identity-key"], deliveries["blind-key"]
@@ -529,7 +531,7 @@ class TestProtocolCore:
             assert delivered_keys(session) == (key, blind)
             assert session._ctx == ctx
             message = cfg.message.prepare()
-            pkg = sign_package(message, ctx, signing, key)
+            pkg = sign_package(message, ctx, key)
             fwd = forward_package(pkg, blind, wiring is Wiring.RELAY)
             got_pkg = session.sign(message)
             if wiring is Wiring.DIRECT:
@@ -549,8 +551,7 @@ class TestProtocolCore:
 
             got = session.kgc_verify(got_fwd)
             want, recovered = arbiter_decision(
-                key, blind, dataclasses.replace(got_fwd, message=message), ctx, recovery,
-                verify_mode, cfg.swap_shots, np.random.default_rng(cfg.seed_shots))
+                key, blind, dataclasses.replace(got_fwd, message=message), ctx, verify_mode, cfg.swap_shots, np.random.default_rng(cfg.seed_shots))
             assert got.to_payload() == want.to_payload()
             assert (got.stage == "hash-check") == (case == "tag-flip")
             if recovered is None:
@@ -617,8 +618,8 @@ class TestPhaseGateEvents:
 
 
 class TestCircuitsBuiltOnce:
-    """A session builds its signing and recovery circuits once, when it takes
-    its context, and every later phase runs those same read-only lists."""
+    """A session's context builds its signing and recovery circuits once, and
+    every later phase runs those same read-only lists."""
 
     @pytest.mark.parametrize("scheme,mode,rotations", [
         (Scheme.CHAINED_CU, EulerMode.DIAGONAL, 6),
@@ -644,7 +645,8 @@ class TestCircuitsBuiltOnce:
     def test_phases_run_the_stored_circuits(self, monkeypatch):
         cfg = plain_config(euler_mode=EulerMode.GENERAL)
         session = registered_session(cfg)
-        signing, recovery = session._circuits
+        ctx = session.context_for()
+        signing, recovery = ctx.signing, ctx.recovery
         ran = []
         real = cipher.run
         monkeypatch.setattr(cipher, "run", lambda s, c, ops: ran.append(ops) or real(s, c, ops))
@@ -653,8 +655,8 @@ class TestCircuitsBuiltOnce:
         assert ran[0] is signing and ran[1] is recovery
 
     def test_stored_circuit_matrices_are_read_only(self):
-        session = registered_session(plain_config(euler_mode=EulerMode.GENERAL))
-        for circuit in session._circuits:
+        ctx = registered_session(plain_config(euler_mode=EulerMode.GENERAL)).context_for()
+        for circuit in (ctx.signing, ctx.recovery):
             assert isinstance(circuit, tuple)
             for _, _, gate in circuit:
                 with pytest.raises(ValueError, match="read-only"):
@@ -663,12 +665,15 @@ class TestCircuitsBuiltOnce:
     def test_reregistration_rebuilds_the_circuits(self):
         cfg = plain_config()
         session = registered_session(cfg)
-        first = session._circuits
+        first = session.context_for()
+        first_circuits = (first.signing, first.recovery)
         session.register_lambda(1)
-        assert session._circuits is not first
-        fresh = signature_ops(session.context_for())
-        assert len(session._circuits[0]) == len(fresh)
-        for (_, _, stored), (_, _, gate) in zip(session._circuits[0], fresh):
+        ctx = session.context_for()
+        assert ctx is not first
+        assert ctx.signing is not first_circuits[0] and ctx.recovery is not first_circuits[1]
+        fresh = signature_ops(ctx)
+        assert len(ctx.signing) == len(fresh)
+        for (_, _, stored), (_, _, gate) in zip(ctx.signing, fresh):
             np.testing.assert_array_equal(stored, gate)
         pkg = session.sign(cfg.message.prepare())
         assert session.kgc_verify(session.verifier_forward(pkg)).accepted
