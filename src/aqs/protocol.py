@@ -719,6 +719,9 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
         session.send_message_direct(pkg.message)
     fwd = _intercept(session, session.verifier_forward(pkg), "verifier-kgc", KGC)
     outcome = session.kgc_verify(fwd)
+    # The signature and any tampered message register are not needed past
+    # verification; dropping them leaves room for sampling.
+    del pkg, fwd
 
     recovered = None
     histogram = None

@@ -15,6 +15,14 @@ through the kernels (see :mod:`aqs.kernels`); that copy becomes the new
 state's amplitudes. It reads each gate's entries and picks its kernel path
 once, then hands both to the kernel. A protocol session builds its signing and
 recovery op lists once and runs each of them through :func:`apply_ops`.
+
+Memory: :func:`apply_ops` allocates one state-sized buffer, its working
+copy; the kernels add a few slabs of ``kernels.SLAB`` amplitudes past that
+size and nothing state-sized. :func:`distribution` squares and normalises in
+place, in one real array of half a state's size, and :func:`inner_product`
+sums in chunks. So a gate list costs one state above its input, and
+:func:`sample` one state: the probabilities and the drawn counts, half a
+state each.
 """
 
 from __future__ import annotations
@@ -281,8 +289,11 @@ def overlap_sq(a: StateVector, b: StateVector) -> float:
 
 def distribution(state: StateVector) -> np.ndarray:
     """Born-rule probabilities over all 2**n basis labels."""
-    probs = np.abs(state.amps) ** 2
-    return probs / probs.sum()
+    # Squared and normalised in place: one real buffer, half a state's size.
+    probs = np.abs(state.amps)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
+    return probs
 
 
 @dataclass(frozen=True)

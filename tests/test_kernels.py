@@ -1,10 +1,13 @@
 """The numpy kernels against full-matrix oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aqs import kernels
+from aqs.qstate import BLOCK_QUBITS
 from aqs.gates import (
     adjoint,
     identity_gate,
@@ -346,3 +349,115 @@ class TestIsFull:
         # The same rule as the single and controlled kernels: exact zeros only.
         assert is_full(np.array([[1, 1e-300], [1e-300, 1]]))
         assert is_full(np.array([[1e-300, 1], [1, 1e-300]]))
+
+
+# The kernels' formulas on whole halves and whole views, as they ran before
+# the kernels worked slab by slab, kept as the reference the slabs must
+# reproduce byte for byte.
+
+def whole_update(a0, a1, entries, path):
+    (u00, u01), (u10, u11) = entries
+    if path == kernels.DIAGONAL:
+        if u00 != 1:
+            a0[...] = u00 * a0
+        if u11 != 1:
+            a1[...] = u11 * a1
+    elif path == kernels.ANTI_DIAGONAL:
+        old0 = a0.copy()
+        a0[...] = a1 if u01 == 1 else u01 * a1
+        a1[...] = old0 if u10 == 1 else u10 * old0
+    else:
+        old0 = a0.copy()
+        a0[...] = u00 * old0 + u01 * a1
+        a1[...] = u10 * old0 + u11 * a1
+
+
+def whole_single(amps, mask, entries, path):
+    view = amps.reshape(amps.shape[0] // (2 * mask), 2, mask)
+    whole_update(view[:, 0, :], view[:, 1, :], entries, path)
+
+
+def whole_controlled(amps, cmask, tmask, entries, path):
+    high, low = max(cmask, tmask), min(cmask, tmask)
+    view = amps.reshape(amps.shape[0] // (2 * high), 2, high // (2 * low), 2, low)
+    if cmask == high:
+        whole_update(view[:, 1, :, 0], view[:, 1, :, 1], entries, path)
+    else:
+        whole_update(view[:, 0, :, 1], view[:, 1, :, 1], entries, path)
+
+
+def whole_block(amps, mask, gates):
+    block = functools.reduce(np.kron, gates)
+    d = block.shape[0]
+    rows = amps.shape[0] // (d * mask)
+    if mask == 1:
+        view = amps.reshape(rows, d)
+        view[...] = view @ block.T
+    else:
+        view = amps.reshape(rows, d, mask)
+        view[...] = block @ view
+
+
+# Registers from one slab to 16 slabs: every kernel runs whole at the low
+# end and crosses slab edges in each of its loops above it.
+SLAB_BITS = kernels.SLAB.bit_length() - 1
+SLAB_SIZES = range(SLAB_BITS, SLAB_BITS + 5)
+SLAB_GATES = ("diag-no-unit", "anti-no-unit", "general", "X", "u(0,0,lam)")
+
+
+@pytest.fixture(scope="module")
+def slab_states():
+    rng = np.random.default_rng(35)
+    return {n: random_state(n, rng) for n in SLAB_SIZES}
+
+
+class TestSlabsKeepWholeArrayBytes:
+    @pytest.mark.parametrize("n", SLAB_SIZES)
+    def test_single_every_qubit(self, n, slab_states):
+        state = slab_states[n]
+        for name in SLAB_GATES:
+            entries = structured_gates()[name].tolist()
+            path = kernels._path(entries)
+            for q in range(n):
+                got, want = state.copy(), state.copy()
+                kernels.apply_single_inplace(got, _mask(n, q), entries, path)
+                whole_single(want, _mask(n, q), entries, path)
+                assert got.tobytes() == want.tobytes(), (name, q)
+
+    @pytest.mark.parametrize("n", SLAB_SIZES)
+    def test_controlled_every_pair(self, n, slab_states):
+        state = slab_states[n]
+        for name in SLAB_GATES[:3]:
+            entries = structured_gates()[name].tolist()
+            path = kernels._path(entries)
+            for c, t in _pairs(n):
+                got, want = state.copy(), state.copy()
+                kernels.apply_controlled_inplace(got, _mask(n, c), _mask(n, t), entries, path)
+                whole_controlled(want, _mask(n, c), _mask(n, t), entries, path)
+                assert got.tobytes() == want.tobytes(), (name, c, t)
+
+    @pytest.mark.parametrize("n", SLAB_SIZES)
+    def test_block_every_position(self, n, slab_states):
+        # Every block of 2 to BLOCK_QUBITS qubits at every position, the
+        # aligned ones and the 2-D product at the low end among them.
+        state = slab_states[n]
+        rng = np.random.default_rng(n)
+        for k in range(2, BLOCK_QUBITS + 1):
+            for first in range(n - k + 1):
+                gates = [u_gate(*rng.uniform(0, 3.1, size=3)) for _ in range(k)]
+                got, want = state.copy(), state.copy()
+                kernels.apply_block_inplace(got, _mask(n, first + k - 1), gates)
+                whole_block(want, _mask(n, first + k - 1), gates)
+                assert got.tobytes() == want.tobytes(), (k, first)
+
+    def test_slabs_tile_the_array_in_memory_order(self):
+        for shape in [(4, 64), (1, 1024), (8, 2, 16), (2, 64, 1), (16, 4, 8)]:
+            for size in (8, 32, 64):
+                if size >= np.prod(shape):
+                    continue
+                cells = np.arange(np.prod(shape)).reshape(shape)
+                boxes = list(kernels._slabs(shape, size))
+                assert all(len(box) == len(shape) for box in boxes)
+                assert all(cells[box].size == size for box in boxes)
+                order = np.concatenate([cells[box].ravel() for box in boxes])
+                assert np.array_equal(order, np.arange(cells.size))

@@ -857,6 +857,30 @@ class TestRunProtocol:
         assert result.outcome.swap_ones == 0
 
 
+class TestRunMemory:
+    # A run holds the message, the signature and the recovered state at
+    # once, and a tampered message register is one more. Everything else
+    # (kernel slabs, sampling) must stay within a quarter of a state. Below
+    # n = 16, fixed Python and chunk memory outweighs a state and this
+    # measure says nothing.
+    @pytest.mark.parametrize("mode", [EulerMode.GENERAL, EulerMode.DIAGONAL])
+    @pytest.mark.parametrize("tampered", [False, True])
+    def test_traced_peak_in_state_sizes(self, mode, tampered):
+        n = 18
+        tamper = (TamperSpec(channel="signer-verifier", message_pauli="X" + "I" * (n - 1))
+                  if tampered else None)
+        cfg = RunConfig(n=n, message=MessageSpec.uniform_qubit(n, 0.6, 0.8j),
+                        euler_mode=mode, tamper=tamper)
+        run_protocol(cfg)  # caches and imports made once per process are not the run's
+        tracemalloc.start()
+        try:
+            run_protocol(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * 2 ** n) <= (4.25 if tampered else 3.25)
+
+
 def _delivery_bits(transcript, reveal):
     events = transcript.to_dict(reveal)["events"]
     return [e["payload"]["bits"] for e in events if e["type"] == "delivery"]
