@@ -716,7 +716,7 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
 
     pkg = _intercept(session, session.sign(message), "signer-verifier", VERIFIER)
     if config.wiring is Wiring.DIRECT:
-        session.send_message_direct(pkg.message)
+        session.send_message_direct(message)
     fwd = _intercept(session, session.verifier_forward(pkg), "verifier-kgc", KGC)
     outcome = session.kgc_verify(fwd)
     # The signature and any tampered message register are not needed past

@@ -844,6 +844,23 @@ class TestRunProtocol:
         with pytest.raises(ConfigError, match=r"tag has 4 bits; cannot flip bit"):
             run_protocol(plain_config(tamper=tamper), sample_histogram=False)
 
+    def test_direct_wiring_arbiter_gets_the_signers_copy(self):
+        # The verifier's copy is tampered in transit; the arbiter's comes
+        # from the signer, so the run accepts it untouched.
+        tamper = TamperSpec(channel="signer-verifier", message_pauli="XIII")
+        result = run_protocol(plain_config(wiring=Wiring.DIRECT, tamper=tamper),
+                              sample_histogram=False)
+        assert result.outcome.accepted
+        assert result.outcome.stage == "state-compare"
+        assert result.outcome.overlap_sq == 1.0
+        fp = {e["type"]: e["payload"]["message_fp"] for e in result.transcript.events
+              if e["type"] in ("prepare-message", "direct-message")}
+        assert fp["direct-message"] == fp["prepare-message"]
+        relayed = run_protocol(plain_config(wiring=Wiring.RELAY, tamper=tamper),
+                               sample_histogram=False)
+        assert not relayed.outcome.accepted
+        assert relayed.outcome.stage == "state-compare"
+
     def test_direct_wiring_message_tamper_on_second_hop_impossible(self):
         tamper = TamperSpec(channel="verifier-kgc", message_pauli="XIII")
         cfg = plain_config(wiring=Wiring.DIRECT, tamper=tamper)
