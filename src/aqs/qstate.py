@@ -41,9 +41,11 @@ from .errors import ConfigError
 NORM_ATOL = 1e-9
 
 # Largest register a state may have; the builders refuse more before they
-# allocate. A general-mode run peaked at 55 / 109 / 312 MiB (ru_maxrss) at
-# n = 18 / 20 / 22: 4.3-4.7 buffers of 16 * 2**n bytes over a 37 MiB base, so
-# about 2.3 GiB at n = 25. protocol.honest_gate_events holds no state.
+# allocate. `aqs run --out` peaked at 49 / 85 / 229 / 805 MiB (ru_maxrss of a
+# fresh process, either Euler mode) at n = 18 / 20 / 22 / 24 over 36.5 MiB at
+# n = 4: 3.0-3.1 buffers of 16 * 2**n bytes (message, signature, recovered
+# state), so about 1.5 GiB at n = 25. protocol.honest_gate_events holds no
+# state.
 MAX_QUBITS = 25
 
 # Full single-qubit gates are fused over aligned groups of this many qubits.
