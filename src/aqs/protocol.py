@@ -17,14 +17,24 @@ The verification math is identical in both. Each step is one plain function:
 and :func:`arbiter_decision`; :class:`ProtocolSession` calls them and logs. The
 registered cipher is one :class:`~aqs.cipher.EncryptionContext`: the signer and
 the arbiter run its own ``signing`` and ``recovery`` circuits.
+
+Events name quantum states by fingerprint only. A state past one hashing
+chunk (n >= 13) is hashed on one worker thread, started on first use, while
+the next kernel pass runs; the transcript waits for pending hashes before
+anyone reads its events, so its bytes and event order are those of inline
+hashing. The worker runs only hashlib and numpy on read-only amplitudes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable
@@ -321,38 +331,151 @@ class RunConfig:
 _SECRET_KEYS = ("bits", "lambdas", "thetas", "phis")
 
 
-# Floats per hashed chunk: the ``+ 0.0`` temporary stays at 64 KiB at any n.
+# Floats per hashed chunk: the ``+ 0.0`` buffer stays at 64 KiB at any n. A
+# state that fits in one chunk (n <= 12) is hashed inline, a larger one on the
+# worker thread.
 _FINGERPRINT_CHUNK = 8192
+
+
+def _digest(floats: np.ndarray) -> str:
+    """First 16 hex digits of SHA-256 over ``floats + 0.0`` as little-endian
+    float64. It runs on the worker thread too, so it calls nothing but hashlib
+    and numpy, and its buffer is its own."""
+    step = _FINGERPRINT_CHUNK
+    buf = np.empty(min(step, floats.size), dtype="<f8")
+    digest = hashlib.sha256()
+    for start in range(0, floats.size, step):
+        digest.update(np.add(floats[start:start + step], 0.0, out=buf))
+    return digest.hexdigest()[:16]
 
 
 def _fingerprint(state: StateVector) -> str:
     """First 16 hex digits of SHA-256 over the amplitudes as little-endian
     float64 (re, im) pairs; ``+ 0.0`` turns -0.0 into 0.0 before hashing.
 
-    States are immutable, so the value is kept on the state after the first call.
+    States are immutable, so the value is kept on the state after the first
+    call; a hash pending on the worker thread is waited for.
     """
     cache = vars(state)
     fp = cache.get("_fingerprint")
     if fp is None:
-        floats = state.amps.view(np.float64)
-        step = _FINGERPRINT_CHUNK
-        digest = hashlib.sha256((floats[:step] + 0.0).astype("<f8", copy=False))
-        for start in range(step, floats.size, step):
-            digest.update((floats[start:start + step] + 0.0).astype("<f8", copy=False))
-        fp = cache["_fingerprint"] = digest.hexdigest()[:16]
+        fp = _digest(state.amps.view(np.float64))
+    elif isinstance(fp, _PendingFingerprint):
+        fp = fp.result()
+    cache["_fingerprint"] = fp
     return fp
 
 
+def _fingerprint_soon(state: StateVector) -> str | _PendingFingerprint:
+    """:func:`_fingerprint` of a state that fits in one chunk, else a pending
+    hash of it on the worker thread, kept on the state as the value is."""
+    cache = vars(state)
+    fp = cache.get("_fingerprint")
+    if fp is None:
+        floats = state.amps.view(np.float64)
+        if floats.size <= _FINGERPRINT_CHUNK:
+            return _fingerprint(state)
+        fp = cache["_fingerprint"] = _PendingFingerprint(floats)
+        _worker_queue().put(fp)
+    return fp
+
+
+class _PendingFingerprint:
+    """A fingerprint the worker thread is hashing.
+
+    It holds the amplitudes until the hash is done. A process forked before
+    then has no worker, so it hashes them itself.
+    """
+
+    __slots__ = ("_floats", "_pid", "_done", "fp")
+
+    def __init__(self, floats: np.ndarray) -> None:
+        self._floats = floats
+        self._pid = os.getpid()
+        self._done = threading.Event()
+        self.fp: str | None = None
+
+    def run(self) -> None:
+        """On the worker thread. A failed hash stays unset: :meth:`result`
+        hashes again in the caller's thread, where the error is raised."""
+        with contextlib.suppress(Exception):
+            self.fp = _digest(self._floats)
+            self._floats = None
+        self._done.set()
+
+    def result(self) -> str:
+        if self.fp is None and os.getpid() == self._pid:
+            self._done.wait()
+        if self.fp is None:
+            self.fp = _digest(self._floats)
+            self._floats = None
+        return self.fp
+
+
+# The worker thread's queue; the thread starts on the first deferred hash.
+_jobs: queue.SimpleQueue | None = None
+
+
+def _worker_queue() -> queue.SimpleQueue:
+    global _jobs
+    if _jobs is None:
+        _jobs = queue.SimpleQueue()
+        threading.Thread(target=_work, args=(_jobs,), name="aqs-fingerprint",
+                         daemon=True).start()
+    return _jobs
+
+
+def _work(jobs: queue.SimpleQueue) -> None:
+    while True:
+        jobs.get().run()
+
+
+def _forget_worker() -> None:
+    # A forked child has no worker thread; its first deferred hash starts one.
+    global _jobs
+    _jobs = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
 class Transcript:
-    """Append-only event log; serializes deterministically."""
+    """Append-only event log; serializes deterministically.
+
+    A fingerprint field may hold a pending hash while the worker thread runs
+    it. Every read of the events (``events``, :meth:`gate_events`,
+    :meth:`to_dict`, :meth:`to_json`) waits for those first, so no reader
+    sees one.
+    """
 
     def __init__(self, config: RunConfig) -> None:
         self.config = config
-        self.events: list[dict[str, Any]] = []
+        self._events: list[dict[str, Any]] = []
+        # Payloads that still hold a pending hash.
+        self._pending: list[dict[str, Any]] = []
         self.outcome: VerificationOutcome | None = None
 
+    @property
+    def events(self) -> list[dict[str, Any]]:
+        for payload in self._pending:
+            for key, value in payload.items():
+                if isinstance(value, _PendingFingerprint):
+                    payload[key] = value.result()
+        self._pending.clear()
+        return self._events
+
     def append(self, kind: str, frm: str, to: str, payload: dict[str, Any]) -> None:
-        self.events.append({"type": kind, "from": frm, "to": to, "payload": payload})
+        self._events.append({"type": kind, "from": frm, "to": to, "payload": payload})
+
+    def _append_fingerprinted(self, kind: str, frm: str, to: str,
+                              payload: dict[str, Any],
+                              **states: StateVector | None) -> None:
+        """Append with each of ``states`` fingerprinted under its key, None as None."""
+        for key, state in states.items():
+            payload[key] = None if state is None else _fingerprint_soon(state)
+        self.append(kind, frm, to, payload)
+        if any(isinstance(v, _PendingFingerprint) for v in payload.values()):
+            self._pending.append(payload)
 
     def gate_events(self) -> list[tuple[str, tuple[int, ...]]]:
         return [
@@ -562,13 +685,9 @@ class ProtocolSession:
     def _send(self, kind: str, frm: str, to: str,
               pkg: SignaturePackage) -> SignaturePackage:
         """Log ``pkg`` leaving ``frm`` for ``to`` and hand it on."""
-        message = pkg.message
-        self.transcript.append(
-            kind, frm, to,
-            {"tag": pkg.tag,
-             "message_fp": None if message is None else _fingerprint(message),
-             "signature_fp": _fingerprint(pkg.signature)},
-        )
+        self.transcript._append_fingerprinted(
+            kind, frm, to, {"tag": pkg.tag},
+            message_fp=pkg.message, signature_fp=pkg.signature)
         return pkg
 
     def _log_phase(self, owner: str, ctx: EncryptionContext, circuit: Circuit) -> None:
@@ -600,10 +719,8 @@ class ProtocolSession:
 
     def send_message_direct(self, message: StateVector) -> None:
         self._direct_message = message
-        self.transcript.append(
-            "direct-message", SIGNER, KGC,
-            {"message_fp": _fingerprint(message)},
-        )
+        self.transcript._append_fingerprinted(
+            "direct-message", SIGNER, KGC, {}, message_fp=message)
 
     # -- phase 4a: verifier blinds and forwards
 
@@ -708,10 +825,9 @@ def run_protocol(config: RunConfig, sample_histogram: bool = True) -> ProtocolRe
     # and the clear copy the arbiter compares against. States are immutable,
     # so one preparation serves as both.
     message = config.message.prepare()
-    session.transcript.append(
-        "prepare-message", SIGNER, SIGNER,
-        {"n": config.n, "copies": 2, "message_fp": _fingerprint(message)},
-    )
+    session.transcript._append_fingerprinted(
+        "prepare-message", SIGNER, SIGNER, {"n": config.n, "copies": 2},
+        message_fp=message)
     session.log_initialize()
 
     pkg = _intercept(session, session.sign(message), "signer-verifier", VERIFIER)

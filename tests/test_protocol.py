@@ -6,17 +6,23 @@ import itertools
 import json
 import math
 import os
+import re
+import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from aqs import cipher, gates, reports
+from aqs import cipher, gates, protocol, reports
 from aqs.attacks import SWEEP_ROWS, apply_pauli_string
 from aqs.cipher import EulerMode, Scheme, inverse_ops, signature_ops
 from aqs.errors import AqsError, ConfigError
@@ -34,6 +40,7 @@ from aqs.protocol import (
     MAX_QUBITS,
     MAX_SHOTS,
     SIGNER,
+    TAMPER_CHANNELS,
     VERIFIER,
     MessageSpec,
     ProtocolSession,
@@ -44,6 +51,7 @@ from aqs.protocol import (
     VerifyMode,
     Wiring,
     _fingerprint,
+    _PendingFingerprint,
     arbiter_decision,
     build_cipher,
     draw_keys,
@@ -1019,3 +1027,138 @@ class TestFingerprint:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20 // 8
+
+
+HEX16 = re.compile("[0-9a-f]{16}")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_json(config: RunConfig) -> tuple[str, str]:
+    transcript = run_protocol(config).transcript
+    return transcript.to_json(), transcript.to_json(reveal_secrets=True)
+
+
+@st.composite
+def run_configs(draw) -> RunConfig:
+    n = draw(st.integers(2, 14))
+    scheme = draw(st.sampled_from(Scheme))
+    general = scheme is Scheme.CHAINED_CU and draw(st.booleans())
+    wiring = draw(st.sampled_from(Wiring))
+    seeds = draw(st.lists(st.integers(0, 2 ** 16), min_size=4, max_size=4))
+    if draw(st.booleans()):
+        message = MessageSpec.random_product(n, np.random.default_rng(seeds[3]))
+    else:
+        message = MessageSpec.classical(draw(st.text("01", min_size=n, max_size=n)))
+    tamper = None
+    kind = draw(st.sampled_from([None, "message", "tag"]))
+    if kind == "tag":
+        tamper = TamperSpec(channel=draw(st.sampled_from(TAMPER_CHANNELS)),
+                            tag_flip_bit=draw(st.integers(0, n - 1)))
+    elif kind == "message":
+        # Direct wiring carries no message register to the arbiter's hop.
+        channels = TAMPER_CHANNELS if wiring is Wiring.RELAY else ("signer-verifier",)
+        tamper = TamperSpec(channel=draw(st.sampled_from(channels)),
+                            message_pauli=draw(st.text("IXYZ", min_size=n, max_size=n)))
+    return RunConfig(
+        n=n, message=message, scheme=scheme,
+        euler_mode=EulerMode.GENERAL if general else EulerMode.DIAGONAL,
+        wiring=wiring, verify_mode=draw(st.sampled_from(VerifyMode)),
+        seed_keys=seeds[0], seed_lambda=seeds[1], seed_shots=seeds[2], tamper=tamper)
+
+
+class TestDeferredFingerprints:
+    """Past one chunk (n >= 13), states are hashed on a worker thread while the
+    run goes on; transcripts read the same as with every hash inline."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=run_configs())
+    @example(config=RunConfig(
+        n=13, message=MessageSpec.uniform_qubit(13, 0.6, 0.8j), euler_mode="general",
+        tamper=TamperSpec(channel="verifier-kgc", message_pauli="X" + "I" * 12)))
+    @example(config=RunConfig(
+        n=14, message=MessageSpec.classical("01" * 7), wiring="direct",
+        verify_mode="sampled",
+        tamper=TamperSpec(channel="signer-verifier", message_pauli="Y" * 14)))
+    def test_transcript_bytes_equal_inline_hashing(self, config):
+        deferred = run_json(config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_fingerprint_soon", protocol._fingerprint)
+            assert run_json(config) == deferred
+
+    def test_events_hold_hex_after_sign_and_forward(self):
+        config = RunConfig(n=14, message=MessageSpec.random_product(
+            14, np.random.default_rng(8)))
+        session = registered_session(config)
+        pkg = session.sign(config.message.prepare())
+        assert isinstance(vars(pkg.signature)["_fingerprint"], _PendingFingerprint)
+        fields = ("message_fp", "signature_fp")
+        (event,) = [e for e in session.transcript.events if e["type"] == "package"]
+        assert all(HEX16.fullmatch(event["payload"][k]) for k in fields)
+        session.verifier_forward(pkg)
+        (event,) = [e for e in session.transcript.events if e["type"] == "forward"]
+        assert all(HEX16.fullmatch(event["payload"][k]) for k in fields)
+        assert event["payload"]["signature_fp"] == _fingerprint(pkg.signature)
+
+    @pytest.mark.parametrize("wiring", list(Wiring))
+    def test_run_returns_with_no_hash_pending(self, wiring):
+        config = RunConfig(n=14, message=MessageSpec.uniform_qubit(14, 0.6, 0.8j),
+                           wiring=wiring)
+        transcript = run_protocol(config).transcript
+        payloads = [e["payload"] for e in transcript._events]  # not through `events`
+        assert not [v for p in payloads for v in p.values()
+                    if isinstance(v, _PendingFingerprint)]
+        fps = [v for p in payloads for k, v in p.items()
+               if k.endswith("_fp") and v is not None]
+        assert len(fps) >= 4 and all(HEX16.fullmatch(fp) for fp in fps)
+
+    def test_inline_sizes_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_jobs", None)
+        threads = threading.active_count()
+        config = RunConfig(n=10, message=MessageSpec.uniform_qubit(10, 0.6, 0.8j),
+                           euler_mode="general", verify_mode="sampled")
+        run_protocol(config)
+        assert threading.active_count() == threads
+        assert protocol._jobs is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs(self):
+        config = RunConfig(n=14, message=MessageSpec.random_product(
+            14, np.random.default_rng(4)), euler_mode="general")
+        expected = run_json(config)  # the parent's worker thread exists from here
+        state = StateVector(14, random_state(14, np.random.default_rng(5)))
+        expected_fp = protocol._digest(state.amps.view(np.float64))
+        # Possibly still being hashed when the process forks.
+        assert isinstance(protocol._fingerprint_soon(state), _PendingFingerprint)
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on fork with threads running, the case tested here.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                if _fingerprint(state) == expected_fp and run_json(config) == expected:
+                    code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+    def test_process_exits_with_a_hash_in_flight(self):
+        code = (
+            "import numpy as np\n"
+            "from aqs.protocol import MessageSpec, RunConfig, _fingerprint_soon, run_protocol\n"
+            "r = run_protocol(RunConfig(n=16, message=MessageSpec.uniform_qubit(16, 0.6, 0.8j)))\n"
+            "print(r.outcome.accepted)\n"
+            "_fingerprint_soon(MessageSpec.uniform_qubit(16, 0.8, 0.6).prepare())\n"
+        )
+        start = time.monotonic()
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "PYTHONPATH": SRC})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+        assert time.monotonic() - start < 30
