@@ -414,15 +414,17 @@ class _PendingFingerprint:
 
 # The worker thread's queue; the thread starts on the first deferred hash.
 _jobs: queue.SimpleQueue | None = None
+_jobs_lock = threading.Lock()
 
 
 def _worker_queue() -> queue.SimpleQueue:
     global _jobs
-    if _jobs is None:
-        _jobs = queue.SimpleQueue()
-        threading.Thread(target=_work, args=(_jobs,), name="aqs-fingerprint",
-                         daemon=True).start()
-    return _jobs
+    with _jobs_lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            threading.Thread(target=_work, args=(_jobs,), name="aqs-fingerprint",
+                             daemon=True).start()
+        return _jobs
 
 
 def _work(jobs: queue.SimpleQueue) -> None:
@@ -432,8 +434,8 @@ def _work(jobs: queue.SimpleQueue) -> None:
 
 def _forget_worker() -> None:
     # A forked child has no worker thread; its first deferred hash starts one.
-    global _jobs
-    _jobs = None
+    global _jobs, _jobs_lock
+    _jobs, _jobs_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_worker)

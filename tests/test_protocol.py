@@ -1111,6 +1111,32 @@ class TestDeferredFingerprints:
                if k.endswith("_fp") and v is not None]
         assert len(fps) >= 4 and all(HEX16.fullmatch(fp) for fp in fps)
 
+    def test_concurrent_runs_match_inline_hashing(self):
+        configs = [RunConfig(n=13, message=MessageSpec.random_product(
+            13, np.random.default_rng(seed)), seed_keys=seed, euler_mode="general")
+            for seed in range(6)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "_fingerprint_soon", protocol._fingerprint)
+            expected = [run_json(c) for c in configs]
+        got: dict[tuple[int, int], tuple[str, str]] = {}
+
+        def runs(worker: int) -> None:
+            for i, config in enumerate(configs):
+                got[worker, i] = run_json(config)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=runs, args=(w,)) for w in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {(w, i): expected[i] for w in range(4) for i in range(len(configs))}
+
     def test_inline_sizes_start_no_thread(self, monkeypatch):
         monkeypatch.setattr(protocol, "_jobs", None)
         threads = threading.active_count()
