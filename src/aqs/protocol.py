@@ -27,13 +27,13 @@ hashing. The worker runs only hashlib and numpy on read-only amplitudes.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import os
-import queue
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -376,7 +376,7 @@ def _fingerprint_soon(state: StateVector) -> str | _PendingFingerprint:
         if floats.size <= _FINGERPRINT_CHUNK:
             return _fingerprint(state)
         fp = cache["_fingerprint"] = _PendingFingerprint(floats)
-        _worker_queue().put(fp)
+        _submit(fp)
     return fp
 
 
@@ -412,24 +412,29 @@ class _PendingFingerprint:
         return self.fp
 
 
-# The worker thread's queue; the thread starts on the first deferred hash.
-_jobs: queue.SimpleQueue | None = None
+# The worker thread's jobs and a count of them; the thread starts on the first
+# deferred hash. Not a queue.SimpleQueue: importing the queue module adds 128 KiB
+# of resident memory to every process.
+_jobs: tuple[collections.deque, threading.Semaphore] | None = None
 _jobs_lock = threading.Lock()
 
 
-def _worker_queue() -> queue.SimpleQueue:
+def _submit(pending: _PendingFingerprint) -> None:
     global _jobs
     with _jobs_lock:
         if _jobs is None:
-            _jobs = queue.SimpleQueue()
-            threading.Thread(target=_work, args=(_jobs,), name="aqs-fingerprint",
+            _jobs = collections.deque(), threading.Semaphore(0)
+            threading.Thread(target=_work, args=_jobs, name="aqs-fingerprint",
                              daemon=True).start()
-        return _jobs
+        jobs, count = _jobs
+    jobs.append(pending)
+    count.release()
 
 
-def _work(jobs: queue.SimpleQueue) -> None:
+def _work(jobs: collections.deque, count: threading.Semaphore) -> None:
     while True:
-        jobs.get().run()
+        count.acquire()
+        jobs.popleft().run()
 
 
 def _forget_worker() -> None:
