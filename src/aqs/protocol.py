@@ -478,10 +478,12 @@ class Transcript:
                               payload: dict[str, Any],
                               **states: StateVector | None) -> None:
         """Append with each of ``states`` fingerprinted under its key, None as None."""
+        pending = False
         for key, state in states.items():
-            payload[key] = None if state is None else _fingerprint_soon(state)
+            fp = payload[key] = None if state is None else _fingerprint_soon(state)
+            pending = pending or isinstance(fp, _PendingFingerprint)
         self.append(kind, frm, to, payload)
-        if any(isinstance(v, _PendingFingerprint) for v in payload.values()):
+        if pending:
             self._pending.append(payload)
 
     def gate_events(self) -> list[tuple[str, tuple[int, ...]]]:
